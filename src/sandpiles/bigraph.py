@@ -24,6 +24,7 @@ from fractions import Fraction
 from math import floor
 
 import numpy as np
+from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidParamsError, InvalidShapeError
 from .gfp import PrimeFieldMatrix
@@ -204,32 +205,17 @@ def reduced_laplacian(g: BipartiteGraph, drop: int) -> IntegerMatrix:
 def connected_components(g: BipartiteGraph) -> list[set[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
     n = g.n_vertices
-    seen = [False] * n
-    comps: list[set[int]] = []
-    neighbours_left = [set(np.nonzero(g.biadjacency[i])[0] + g.n_left) for i in range(g.n_left)]
-    neighbours_right = [set(np.nonzero(g.biadjacency[:, j])[0]) for j in range(g.n_right)]
-
-    def neighbours(v: int):
-        if v < g.n_left:
-            return neighbours_left[v]
-        return neighbours_right[v - g.n_left]
-
-    for start in range(n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in neighbours(v):
-                w = int(w)
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    frontier.append(w)
-        comps.append(comp)
-    return comps
+    left, right = np.nonzero(g.biadjacency)
+    adjacency = csr_matrix(
+        (np.ones(left.size, dtype=np.int8), (left, right + g.n_left)), shape=(n, n)
+    )
+    count, labels = csgraph.connected_components(adjacency, directed=False)
+    # A stable sort groups vertices by label and keeps each group ascending,
+    # so the first entry of a group is its smallest vertex.
+    by_label = np.argsort(labels, kind="stable")
+    groups = np.split(by_label, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    groups.sort(key=lambda members: members[0])
+    return [set(members.tolist()) for members in groups]
 
 
 def graph_to_json(g: BipartiteGraph) -> dict:

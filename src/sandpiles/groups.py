@@ -112,7 +112,8 @@ def sandpile_group(g: BipartiteGraph) -> GroupInvariants:
         diag = smith_normal_form(block)
         # A connected component has nonsingular reduced Laplacian, so the
         # Smith diagonal is all positive.
-        assert all(d > 0 for d in diag), "reduced Laplacian of a component was singular"
+        if not all(d > 0 for d in diag):
+            raise RuntimeError("reduced Laplacian of a connected component was singular")
         collected.extend(d for d in diag if d >= 2)
     factors = tuple(d for d in normalize_divisor_chain(collected) if d >= 2)
     return GroupInvariants(factors=factors, order=prod(factors), free_rank=0)
@@ -147,5 +148,8 @@ def spanning_tree_count(g: BipartiteGraph) -> int:
     if len(connected_components(g)) != 1:
         raise DisconnectedError("spanning trees are defined for connected graphs only")
     det = determinant(reduced_laplacian(g, g.n_vertices - 1))
-    assert det > 0, "reduced Laplacian of a connected graph must have positive determinant"
+    if det <= 0:
+        raise RuntimeError(
+            f"reduced Laplacian of a connected graph has determinant {det}, not > 0"
+        )
     return det

@@ -22,8 +22,11 @@ error comfortably below 1e-12.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import comb, exp, lgamma, log, pi, sqrt
 
 from .bigraph import floor_ratio
@@ -210,20 +213,23 @@ class RankDistribution:
         mu = self.mean()
         return sum((k - mu) ** 2 * prob for k, prob in self.pmf.items())
 
+    @cached_property
+    def _cumulative(self) -> tuple[list[int], list[float]]:
+        """Support points and the CDF at each, summed left to right once."""
+        points = self.support()
+        return points, list(accumulate(self.pmf[k] for k in points))
+
     def cdf_at(self, k: int) -> float:
-        return sum(prob for j, prob in self.pmf.items() if j <= k)
+        points, cdf = self._cumulative
+        i = bisect_right(points, k)
+        return cdf[i - 1] if i else 0.0
 
     def quantile(self, u: float) -> int:
         """Smallest support point whose CDF reaches ``u`` (0 < u < 1)."""
         if not 0 < u < 1:
             raise InvalidParamsError(f"u must be in (0, 1), got {u}")
-        acc = 0.0
-        points = self.support()
-        for k in points:
-            acc += self.pmf[k]
-            if acc >= u:
-                return k
-        return points[-1]
+        points, cdf = self._cumulative
+        return points[min(bisect_left(cdf, u), len(points) - 1)]
 
     def to_json(self) -> dict:
         return {

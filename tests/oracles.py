@@ -45,6 +45,51 @@ def spanning_trees_by_enumeration(g: BipartiteGraph) -> int:
     return count
 
 
+def components_by_bfs(g: BipartiteGraph) -> list[set[int]]:
+    """Connected components by a graph search over Python neighbour sets.
+
+    Vertex sets ordered by smallest vertex, like ``connected_components``.
+    """
+    n = g.n_vertices
+    seen = [False] * n
+    comps: list[set[int]] = []
+    neighbours_left = [set(np.nonzero(g.biadjacency[i])[0] + g.n_left) for i in range(g.n_left)]
+    neighbours_right = [set(np.nonzero(g.biadjacency[:, j])[0]) for j in range(g.n_right)]
+
+    def neighbours(v: int):
+        if v < g.n_left:
+            return neighbours_left[v]
+        return neighbours_right[v - g.n_left]
+
+    for start in range(n):
+        if seen[start]:
+            continue
+        comp = {start}
+        seen[start] = True
+        frontier = [start]
+        while frontier:
+            v = frontier.pop()
+            for w in neighbours(v):
+                w = int(w)
+                if not seen[w]:
+                    seen[w] = True
+                    comp.add(w)
+                    frontier.append(w)
+        comps.append(comp)
+    return comps
+
+
+def is_prime_by_trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def det_by_cofactors(rows: list[list[int]]) -> int:
     """Determinant by Laplace expansion on the first row (exponential)."""
     size = len(rows)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import components_by_bfs
 from sandpiles import (
     BipartiteGraph,
     GraphModelParams,
@@ -165,6 +166,21 @@ def test_connected_components_cases():
     assert connected_components(two_blocks) == [{0, 2}, {1, 3}]
     empty = BipartiteGraph(2, 2, np.zeros((2, 2), dtype=np.int64))
     assert connected_components(empty) == [{0}, {1}, {2}, {3}]
+
+
+def test_connected_components_match_bfs_oracle():
+    # Sparse q leaves isolated vertices and many components; q = 0.5 leaves
+    # one.  Both the sets and their order must agree with the BFS.
+    counts = set()
+    for q in (0.02, 0.1, 0.5):
+        for seed in range(8):
+            params = GraphModelParams(n=40 + 7 * seed, alpha=0.75, q=q, seed=seed)
+            g = sample_bipartite(params)
+            comps = connected_components(g)
+            assert comps == components_by_bfs(g)
+            assert all(type(v) is int for comp in comps for v in comp)
+            counts.add(len(comps))
+    assert 1 in counts and max(counts) > 20
 
 
 def test_json_round_trip():

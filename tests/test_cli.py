@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -97,6 +98,30 @@ def test_predict_rejects_non_prime(capsys):
     code, _, err = run_cli(capsys, "predict", "--n", "100", "--alpha", "0.5", "--p", "4")
     assert code == 2
     assert "error:" in err
+
+
+def test_predict_with_huge_prime_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "predict", "--n", "10", "--alpha", "0.5", "--p", "2305843009213693951"
+    )
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["p"] == 2305843009213693951
+
+
+def test_prime_beyond_two_to_the_64_exits_two(capsys):
+    p = str(2**64 + 13)
+    code, _, err = run_cli(capsys, "predict", "--n", "10", "--alpha", "0.5", "--p", p)
+    assert code == 2
+    assert "2**64" in err
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--kind", "prank", "--n", "10", "--alpha", "0.5",
+        "--q", "0.5", "--p", p, "--trials", "2", "--seed", "1",
+    )
+    assert code == 2
+    assert "2**64" in err
 
 
 def test_group_on_explicit_graph(tmp_path, capsys):

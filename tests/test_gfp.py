@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import random_uniform_matrix, rank_by_minors
+from oracles import is_prime_by_trial_division, random_uniform_matrix, rank_by_minors
 from sandpiles import (
     DimensionMismatchError,
     IndexSet,
+    InvalidParamsError,
     NotPrimeError,
     PrimeFieldMatrix,
     SingularBlockError,
@@ -20,7 +21,7 @@ from sandpiles import (
     schur_complement,
     submatrix,
 )
-from sandpiles.gfp import _matmul_mod, _rank_generic
+from sandpiles.gfp import _eliminate, _matmul_mod, _rank_generic
 
 
 def test_is_prime_small_cases():
@@ -30,10 +31,55 @@ def test_is_prime_small_cases():
     assert not any(is_prime(c) for c in composites)
 
 
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-5, 5000) if is_prime(n)] == [
+        n for n in range(-5, 5000) if is_prime_by_trial_division(n)
+    ]
+    stream = SplitMix64(2357)
+    for _ in range(300):
+        n = stream.next_below(2**32)
+        assert is_prime(n) == is_prime_by_trial_division(n)
+    for n in (2**31 - 1, 2**31 + 11, 2**32 - 5, 2**33 - 9):
+        assert is_prime(n) == is_prime_by_trial_division(n)
+
+
+def test_is_prime_large_inputs_up_to_two_to_the_64():
+    # A Mersenne prime and the largest prime below 2**64.
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**64 - 59)
+    # Strong pseudoprimes: 3215031751 to bases 2, 3, 5, 7;
+    # 3825123056546413051 to every prime base up to 23.
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert not is_prime((2**31 - 1) * (2**31 - 19))
+    assert not is_prime(2**64 - 1)
+    with pytest.raises(InvalidParamsError):
+        is_prime(2**64)
+    with pytest.raises(InvalidParamsError):
+        is_prime(2**64 + 13)
+
+
 def test_matrix_construction_reduces_entries():
     m = PrimeFieldMatrix(5, [[7, -1], [10, 3]])
     assert m.entries.tolist() == [[2, 4], [0, 3]]
     assert m.entries.dtype == np.int64
+    # Entries only below 0, or only at or above p, are still reduced.
+    assert PrimeFieldMatrix(7, [[-1, -7], [-8, 0]]).entries.tolist() == [[6, 0], [6, 0]]
+    assert PrimeFieldMatrix(7, [[7, 13], [1, 2]]).entries.tolist() == [[0, 6], [1, 2]]
+    big = PrimeFieldMatrix(2147483647, np.array([[2**40, -(2**40)]], dtype=np.int64))
+    assert big.entries.tolist() == [[2**40 % 2147483647, -(2**40) % 2147483647]]
+    assert PrimeFieldMatrix(2, np.array([[3, 0]], dtype=np.uint8)).entries.tolist() == [[1, 0]]
+
+
+def test_matrix_construction_copies_already_reduced_entries():
+    raw = np.array([[0, 1], [2, 4]], dtype=np.int64)
+    m = PrimeFieldMatrix(5, raw)
+    assert m.entries.tolist() == [[0, 1], [2, 4]]
+    assert m.entries.dtype == np.int64
+    assert not m.entries.flags.writeable
+    raw[0, 0] = 3  # the caller's array stays theirs
+    assert m.entries[0, 0] == 0
+    assert PrimeFieldMatrix(3, np.zeros((0, 4), dtype=np.int64)).entries.shape == (0, 4)
 
 
 def test_matrix_rejects_bad_modulus():
@@ -111,6 +157,25 @@ def test_rank_against_minor_oracle_sweep():
         cols = 1 + stream.next_below(6)
         m = random_uniform_matrix(stream, rows, cols, p)
         assert rank_mod_p(m) == rank_by_minors(m)
+
+
+def test_echelon_rank_matches_gauss_jordan_on_rank_deficient_matrices():
+    # Products of random (rows x k) and (k x cols) factors have rank <= k;
+    # a repeated row and a repeated column add dependent rows and columns.
+    stream = SplitMix64(4242)
+    for p in (3, 5, 7, 2**31 - 1):
+        for _ in range(12):
+            rows = 2 + stream.next_below(14)
+            cols = 2 + stream.next_below(14)
+            k = 1 + stream.next_below(min(rows, cols) - 1)
+            left = random_uniform_matrix(stream, rows, k, p).entries
+            right = random_uniform_matrix(stream, k, cols, p).entries
+            block = _matmul_mod(left, right, p)
+            block = np.concatenate([block, block[:1]], axis=0)[:, [0, *range(cols)]]
+            m = PrimeFieldMatrix(p, block)
+            gauss_jordan = len(_eliminate(m.entries.copy(), p))
+            assert gauss_jordan <= k
+            assert rank_mod_p(m) == gauss_jordan
 
 
 def test_gf2_bit_path_matches_generic_elimination():

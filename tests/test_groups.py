@@ -23,6 +23,7 @@ from sandpiles import (
     smith_normal_form,
     spanning_tree_count,
 )
+from sandpiles import groups as groups_mod
 
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
@@ -190,3 +191,15 @@ def test_spanning_tree_count_matches_enumeration():
         if len(connected_components(g)) != 1:
             continue
         assert spanning_tree_count(g) == spanning_trees_by_enumeration(g)
+
+
+def test_spanning_tree_count_rejects_non_positive_determinant(monkeypatch):
+    monkeypatch.setattr(groups_mod, "determinant", lambda m: 0)
+    with pytest.raises(RuntimeError, match="determinant 0"):
+        spanning_tree_count(complete_bipartite(2, 3))
+
+
+def test_sandpile_group_rejects_singular_component_block(monkeypatch):
+    monkeypatch.setattr(groups_mod, "smith_normal_form", lambda m: (1, 0))
+    with pytest.raises(RuntimeError, match="singular"):
+        sandpile_group(complete_bipartite(2, 3))

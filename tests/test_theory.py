@@ -228,6 +228,29 @@ def test_rank_distribution_quantile_and_cdf():
             dist.quantile(bad)
 
 
+def test_rank_distribution_cdf_and_quantile_match_full_scans():
+    # The cumulative table must reproduce a left-to-right scan of the pmf
+    # bit for bit, at every integer and at levels on and between CDF values.
+    for n, alpha, p in ((20, 0.5, 2), (300, 0.25, 3), (1000, 0.1, 5), (57, Fraction(1, 3), 3)):
+        dist = rank_pmf_theoretical(n, alpha, p)
+        points = dist.support()
+        for k in range(-2, n + 2):
+            scan = 0
+            for j in points:
+                if j <= k:
+                    scan += dist.pmf[j]
+            assert dist.cdf_at(k) == scan
+        acc, steps = 0.0, []
+        for k in points:
+            acc += dist.pmf[k]
+            steps.append((acc, k))
+        levels = [a for a, _ in steps if 0 < a < 1]
+        levels += [math.nextafter(a, 0) for a in levels] + [math.nextafter(a, 1) for a in levels]
+        for u in [u for u in levels if u < 1] + [1e-300, 0.5, 1 - 1e-16]:
+            expected = next((k for a, k in steps if a >= u), points[-1])
+            assert dist.quantile(u) == expected
+
+
 def test_rank_distribution_validates_pmf():
     with pytest.raises(ValueError):
         RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf={0: 0.5, 1: 0.4})
