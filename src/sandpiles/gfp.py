@@ -90,6 +90,9 @@ class PrimeFieldMatrix:
             raise InvalidShapeError(
                 f"entries must be integers, got dtype {raw.dtype}"
             )
+        if raw.dtype.kind == "u":
+            # Reduce before the cast: uint64 entries >= 2**63 would wrap in int64.
+            raw = np.mod(raw, np.uint64(p), dtype=np.uint64)
         arr = raw.astype(np.int64)
         if arr.ndim != 2:
             raise InvalidShapeError(f"entries must be 2-d, got shape {arr.shape}")

@@ -21,7 +21,8 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, field, replace
 from math import sqrt
 from typing import Callable, Sequence
 
@@ -87,16 +88,7 @@ class ExperimentConfig:
             )
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "alpha": self.alpha,
-            "q": self.q,
-            "p": self.p,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "output_path": self.output_path,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -146,32 +138,29 @@ class ExperimentResult:
         }
 
 
-def _summarize(values: Sequence[int]) -> tuple[float, float, dict[int, float]]:
-    arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    variance = float(arr.var(ddof=1)) if arr.size > 1 else 0.0
-    quantiles = {
-        level: float(np.percentile(arr, level)) for level in _QUANTILE_LEVELS
-    }
-    return mean, variance, quantiles
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
+def _check_kind(cfg: ExperimentConfig, kind: str) -> None:
+    if cfg.kind != kind:
+        raise InvalidParamsError(f"expected kind {kind!r}, got {cfg.kind!r}")
 
 
 def _run_trials(
-    cfg: ExperimentConfig, observe: Callable[[int, int], int]
+    cfg: ExperimentConfig, observe: Callable[[int], int]
 ) -> tuple[tuple[int, ...], float]:
-    """Run ``observe(trial, trial_seed)`` for every trial; returns observations."""
+    """Run ``observe(trial_seed)`` for every trial; returns observations."""
     start = time.perf_counter()
     observations = tuple(
-        int(observe(t, derive_seed(cfg.master_seed, t))) for t in range(cfg.trials)
+        int(observe(derive_seed(cfg.master_seed, t))) for t in range(cfg.trials)
     )
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return observations, elapsed_ms
+
+
+def _sample(cfg: ExperimentConfig, seed: int):
+    return sample_bipartite(GraphModelParams(n=cfg.n, alpha=cfg.alpha, q=cfg.q, seed=seed))
+
+
+def _compare_to_law(cfg: ExperimentConfig, observations) -> ComparisonStats:
+    return compare_to_theory(observations, rank_pmf_theoretical(cfg.n, cfg.alpha, cfg.p))
 
 
 def _result(
@@ -181,15 +170,17 @@ def _result(
     comparison: ComparisonStats | None = None,
     extras: dict | None = None,
 ) -> ExperimentResult:
-    mean, variance, quantiles = _summarize(observations)
+    from . import __version__
+
+    arr = np.asarray(observations, dtype=np.float64)
     return ExperimentResult(
         config=cfg,
         per_trial=observations,
-        mean=mean,
-        variance=variance,
-        quantiles=quantiles,
+        mean=float(arr.mean()),
+        variance=float(arr.var(ddof=1)) if arr.size > 1 else 0.0,
+        quantiles={level: float(np.percentile(arr, level)) for level in _QUANTILE_LEVELS},
         wall_time_ms=elapsed_ms,
-        version=_package_version(),
+        version=__version__,
         comparison=comparison,
         extras=extras or {},
     )
@@ -201,17 +192,9 @@ def run_prank_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     The comparison block is filled against the truncated-binomial law for the
     same (n, alpha, p).
     """
-    if cfg.kind != "prank":
-        raise InvalidParamsError(f"expected kind 'prank', got {cfg.kind!r}")
-
-    def observe(_t: int, trial_seed: int) -> int:
-        params = GraphModelParams(n=cfg.n, alpha=cfg.alpha, q=cfg.q, seed=trial_seed)
-        return p_rank(sample_bipartite(params), cfg.p)
-
-    observations, elapsed_ms = _run_trials(cfg, observe)
-    dist = rank_pmf_theoretical(cfg.n, cfg.alpha, cfg.p)
-    comparison = compare_to_theory(observations, dist)
-    return _result(cfg, observations, elapsed_ms, comparison=comparison)
+    _check_kind(cfg, "prank")
+    obs, elapsed_ms = _run_trials(cfg, lambda seed: p_rank(_sample(cfg, seed), cfg.p))
+    return _result(cfg, obs, elapsed_ms, _compare_to_law(cfg, obs))
 
 
 def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -233,24 +216,16 @@ def run_cyclicity_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     The 95% Wilson interval for the cyclic fraction lands in
     ``extras["wilson95"]``.
     """
-    if cfg.kind != "cyclicity":
-        raise InvalidParamsError(f"expected kind 'cyclicity', got {cfg.kind!r}")
+    _check_kind(cfg, "cyclicity")
     total_vertices = cfg.n + floor_ratio(cfg.alpha, cfg.n)
     if total_vertices > SNF_VERTEX_GUARD:
         raise GuardExceededError(
             f"{total_vertices} vertices exceeds the exact-Smith-form guard "
             f"({SNF_VERTEX_GUARD}); use a smaller n"
         )
-
-    def observe(_t: int, trial_seed: int) -> int:
-        params = GraphModelParams(n=cfg.n, alpha=cfg.alpha, q=cfg.q, seed=trial_seed)
-        return int(is_cyclic(sample_bipartite(params)))
-
-    observations, elapsed_ms = _run_trials(cfg, observe)
-    low, high = wilson_interval(sum(observations), cfg.trials)
-    return _result(
-        cfg, observations, elapsed_ms, extras={"wilson95": [low, high]}
-    )
+    obs, elapsed_ms = _run_trials(cfg, lambda seed: is_cyclic(_sample(cfg, seed)))
+    low, high = wilson_interval(sum(obs), cfg.trials)
+    return _result(cfg, obs, elapsed_ms, extras={"wilson95": [low, high]})
 
 
 def run_mcorank_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -261,33 +236,21 @@ def run_mcorank_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     zero-diagonal regimes split.  The comparison block is filled against the
     same truncated-binomial law as the p-rank experiment.
     """
-    if cfg.kind != "m-corank":
-        raise InvalidParamsError(f"expected kind 'm-corank', got {cfg.kind!r}")
-    start = time.perf_counter()
-    observations: list[int] = []
-    mismatches = 0
-    regime_counts: dict[str, int] = {}
-    for t in range(cfg.trials):
-        trial_seed = derive_seed(cfg.master_seed, t)
-        report = corank_pipeline(build_M(cfg.n, cfg.alpha, cfg.q, cfg.p, trial_seed))
-        observations.append(report.corank_direct)
-        if report.corank_direct != report.corank_schur:
-            mismatches += 1
-        regime_counts[report.regime] = regime_counts.get(report.regime, 0) + 1
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    dist = rank_pmf_theoretical(cfg.n, cfg.alpha, cfg.p)
-    comparison = compare_to_theory(observations, dist)
-    return _result(
-        cfg,
-        tuple(observations),
-        elapsed_ms,
-        comparison=comparison,
-        extras={
-            "schur_all_equal": mismatches == 0,
-            "schur_mismatches": mismatches,
-            "regime_counts": regime_counts,
-        },
-    )
+    _check_kind(cfg, "m-corank")
+    reports = []
+
+    def observe(seed: int) -> int:
+        reports.append(corank_pipeline(build_M(cfg.n, cfg.alpha, cfg.q, cfg.p, seed)))
+        return reports[-1].corank_direct
+
+    obs, elapsed_ms = _run_trials(cfg, observe)
+    mismatches = sum(r.corank_direct != r.corank_schur for r in reports)
+    extras = {
+        "schur_all_equal": mismatches == 0,
+        "schur_mismatches": mismatches,
+        "regime_counts": dict(Counter(r.regime for r in reports)),
+    }
+    return _result(cfg, obs, elapsed_ms, _compare_to_law(cfg, obs), extras)
 
 
 def compare_to_theory(
@@ -359,6 +322,33 @@ class SweepResult:
         }
 
 
+def _run_sweep(cfg: ExperimentConfig, swept: str, values: Sequence, row) -> SweepResult:
+    """One ``prank`` run per value of the field ``swept``.
+
+    Run i uses the sub-stream ``derive_seed(cfg.master_seed, i)``.  Its
+    ``output_path`` is None, so the parent's ``--out`` is not repeated in every
+    sub-result.  Rows are (value, row(value, mean)).
+    """
+    if not values:
+        raise InvalidParamsError(f"need at least one {swept} value")
+    start = time.perf_counter()
+    results = tuple(
+        run_prank_experiment(
+            replace(
+                cfg,
+                kind="prank",
+                output_path=None,
+                master_seed=derive_seed(cfg.master_seed, i),
+                **{swept: value},
+            )
+        )
+        for i, value in enumerate(values)
+    )
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    rows = tuple((float(v), row(v, r.mean)) for v, r in zip(values, results))
+    return SweepResult(kind=cfg.kind, rows=rows, results=results, wall_time_ms=elapsed_ms)
+
+
 def run_qsweep(cfg: ExperimentConfig, qs: Sequence[float] = QSWEEP_QS) -> SweepResult:
     """Mean p-rank across edge probabilities, all else shared.
 
@@ -366,28 +356,8 @@ def run_qsweep(cfg: ExperimentConfig, qs: Sequence[float] = QSWEEP_QS) -> SweepR
     empirical.  Rows are (q, mean p-rank).  Each q gets an independent
     sub-stream of the master seed.
     """
-    if cfg.kind != "q-sweep":
-        raise InvalidParamsError(f"expected kind 'q-sweep', got {cfg.kind!r}")
-    if not qs:
-        raise InvalidParamsError("need at least one q value")
-    start = time.perf_counter()
-    results = []
-    for i, q in enumerate(qs):
-        sub = ExperimentConfig(
-            kind="prank",
-            n=cfg.n,
-            alpha=cfg.alpha,
-            q=q,
-            p=cfg.p,
-            trials=cfg.trials,
-            master_seed=derive_seed(cfg.master_seed, i),
-        )
-        results.append(run_prank_experiment(sub))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    rows = tuple((float(q), r.mean) for q, r in zip(qs, results))
-    return SweepResult(
-        kind="q-sweep", rows=rows, results=tuple(results), wall_time_ms=elapsed_ms
-    )
+    _check_kind(cfg, "q-sweep")
+    return _run_sweep(cfg, "q", qs, lambda _q, mean: mean)
 
 
 def run_balanced_scaling(
@@ -398,45 +368,22 @@ def run_balanced_scaling(
     The prediction for alpha = 1 is sublinear growth, so mean/n should fall
     as n grows.  Rows are (n, mean p-rank / n).
     """
-    if cfg.kind != "balanced-scaling":
-        raise InvalidParamsError(
-            f"expected kind 'balanced-scaling', got {cfg.kind!r}"
-        )
-    if not ns:
-        raise InvalidParamsError("need at least one n value")
-    start = time.perf_counter()
-    results = []
-    for i, n in enumerate(ns):
-        sub = ExperimentConfig(
-            kind="prank",
-            n=n,
-            alpha=cfg.alpha,
-            q=cfg.q,
-            p=cfg.p,
-            trials=cfg.trials,
-            master_seed=derive_seed(cfg.master_seed, i),
-        )
-        results.append(run_prank_experiment(sub))
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    rows = tuple((float(n), r.mean / n) for n, r in zip(ns, results))
-    return SweepResult(
-        kind="balanced-scaling",
-        rows=rows,
-        results=tuple(results),
-        wall_time_ms=elapsed_ms,
-    )
+    _check_kind(cfg, "balanced-scaling")
+    return _run_sweep(cfg, "n", ns, lambda n, mean: mean / n)
+
+
+_RUNNERS = {
+    "prank": run_prank_experiment,
+    "cyclicity": run_cyclicity_experiment,
+    "m-corank": run_mcorank_experiment,
+    "q-sweep": run_qsweep,
+    "balanced-scaling": run_balanced_scaling,
+}
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult | SweepResult:
     """Dispatch on ``cfg.kind``."""
-    runners = {
-        "prank": run_prank_experiment,
-        "cyclicity": run_cyclicity_experiment,
-        "m-corank": run_mcorank_experiment,
-        "q-sweep": run_qsweep,
-        "balanced-scaling": run_balanced_scaling,
-    }
-    return runners[cfg.kind](cfg)
+    return _RUNNERS[cfg.kind](cfg)
 
 
 def write_result_json(result: ExperimentResult | SweepResult, path) -> None:

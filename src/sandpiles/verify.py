@@ -42,7 +42,76 @@ class CheckResult:
     detail: str
 
 
-def _random_matrix(stream: SplitMix64, rows: int, cols: int, p: int) -> PrimeFieldMatrix:
+# Naive oracles: exponential or first-principles, usable only at small sizes,
+# sharing no code with the fast paths they check.  The test-suite uses them too.
+
+
+def det_by_cofactors(rows: list[list[int]]) -> int:
+    """Determinant by Laplace expansion on the first row (exponential)."""
+    size = len(rows)
+    if size == 0:
+        return 1
+    if size == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(size):
+        if rows[0][j] == 0:
+            continue
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * det_by_cofactors(minor)
+        total += term if j % 2 == 0 else -term
+    return total
+
+
+def smith_diagonal_by_minors(rows: list[list[int]]) -> tuple[int, ...]:
+    """Smith diagonal via determinantal divisors d_k = D_k / D_(k-1).
+
+    D_k is the gcd of all k x k minors.
+    """
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
+    size = min(height, width)
+    divisors = [1]
+    for k in range(1, size + 1):
+        g = 0
+        for rsel in combinations(range(height), k):
+            for csel in combinations(range(width), k):
+                sub = [[rows[i][j] for j in csel] for i in rsel]
+                g = gcd(g, det_by_cofactors(sub))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        divisors.append(g)
+        if g == 0:
+            break
+    diag = tuple(0 if cur == 0 else cur // prev for prev, cur in zip(divisors, divisors[1:]))
+    return diag + (0,) * (size - len(diag))
+
+
+def spanning_trees_by_enumeration(g: BipartiteGraph) -> int:
+    """Count spanning trees by trying every edge subset of size N - 1."""
+    count = 0
+    for subset in combinations(g.edges(), g.n_vertices - 1):
+        parent = list(range(g.n_vertices))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for i, j in subset:
+            ri, rj = find(i), find(g.n_left + j)
+            if ri == rj:
+                break
+            parent[ri] = rj
+        else:
+            count += 1
+    return count
+
+
+def random_uniform_matrix(stream: SplitMix64, rows: int, cols: int, p: int) -> PrimeFieldMatrix:
     entries = [[stream.next_below(p) for _ in range(cols)] for _ in range(rows)]
     return PrimeFieldMatrix(p, entries)
 
@@ -61,7 +130,7 @@ def check_schur_preservation(instances: int = 1000, seed: int = 20240817) -> Che
     while done < instances:
         p = primes[done % len(primes)]
         dim = 4 + stream.next_below(6)
-        m = _random_matrix(stream, dim, dim, p)
+        m = random_uniform_matrix(stream, dim, dim, p)
         block_size = stream.next_below(dim)
         picked = sorted(_sample_without_replacement(stream, dim, block_size))
         s = IndexSet(tuple(picked), dim)
@@ -116,78 +185,8 @@ def check_conditional_mean_identity(max_n: int = 40) -> CheckResult:
     )
 
 
-def _gcd_of_minors_diagonal(m: IntegerMatrix) -> tuple[int, ...]:
-    """Smith diagonal via determinantal divisors: d_k = D_k / D_(k-1).
-
-    D_k is the gcd of all k x k minors.  Exponential in the matrix size --
-    usable only as an independent oracle for small matrices.
-    """
-    arr = m.entries
-    rows, cols = arr.shape
-    size = min(rows, cols)
-    divisors = [1]
-    for k in range(1, size + 1):
-        g = 0
-        for rsel in combinations(range(rows), k):
-            for csel in combinations(range(cols), k):
-                g = gcd(g, _det_cofactor(arr, rsel, csel))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        divisors.append(g)
-        if g == 0:
-            break
-    diag = []
-    for k in range(1, len(divisors)):
-        prev, cur = divisors[k - 1], divisors[k]
-        diag.append(0 if cur == 0 else cur // prev)
-    diag.extend(0 for _ in range(size - len(diag)))
-    return tuple(diag)
-
-
-def _det_cofactor(arr: np.ndarray, rsel, csel) -> int:
-    if len(rsel) == 0:
-        return 1
-    if len(rsel) == 1:
-        return int(arr[rsel[0], csel[0]])
-    total = 0
-    rest = rsel[1:]
-    for j, c in enumerate(csel):
-        sub = tuple(x for x in csel if x != c)
-        term = int(arr[rsel[0], c]) * _det_cofactor(arr, rest, sub)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
 def _complete_bipartite(a: int, b: int) -> BipartiteGraph:
     return BipartiteGraph(a, b, np.ones((a, b), dtype=np.int64))
-
-
-def _count_spanning_trees_brute(g: BipartiteGraph) -> int:
-    """Spanning trees by enumerating edge subsets of size N-1 (tiny graphs)."""
-    edges = g.edges()
-    n = g.n_vertices
-    count = 0
-    for subset in combinations(edges, n - 1):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        acyclic = True
-        for i, j in subset:
-            ri, rj = find(i), find(g.n_left + j)
-            if ri == rj:
-                acyclic = False
-                break
-            parent[ri] = rj
-        if acyclic:
-            count += 1
-    return count
 
 
 def check_smith_form_oracles(seed: int = 991) -> CheckResult:
@@ -199,7 +198,7 @@ def check_smith_form_oracles(seed: int = 991) -> CheckResult:
     if factors != (2, 6):
         problems.append(f"complete 2x3 invariant factors {factors} != (2, 6)")
     trees = spanning_tree_count(k23)
-    brute = _count_spanning_trees_brute(k23)
+    brute = spanning_trees_by_enumeration(k23)
     if trees != 12 or brute != 12:
         problems.append(f"complete 2x3 tree counts det={trees} brute={brute} != 12")
 
@@ -219,9 +218,8 @@ def check_smith_form_oracles(seed: int = 991) -> CheckResult:
         entries = [
             [stream.next_below(11) - 5 for _ in range(cols)] for _ in range(rows)
         ]
-        m = IntegerMatrix.from_rows(entries)
-        got = smith_normal_form(m)
-        want = _gcd_of_minors_diagonal(m)
+        got = smith_normal_form(IntegerMatrix.from_rows(entries))
+        want = smith_diagonal_by_minors(entries)
         if got != want:
             problems.append(f"Smith form {got} != minors oracle {want} on {entries}")
             break

@@ -3,46 +3,27 @@
 Everything here is deliberately naive -- enumeration, cofactor expansions and
 first-principles formulas -- and shares no code with the fast paths under
 test.  Oracles are usable only at small sizes; that is the point.
+
+The four oracles that ``sandpiles verify`` runs too are defined once, in
+``sandpiles.verify``, and imported from there; the rest are test-only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 import numpy as np
 
 from sandpiles import BipartiteGraph, SplitMix64
 from sandpiles.gfp import PrimeFieldMatrix
-
-
-def spanning_trees_by_enumeration(g: BipartiteGraph) -> int:
-    """Count spanning trees by trying every edge subset of size N - 1."""
-    edges = g.edges()
-    n = g.n_vertices
-    if n == 1:
-        return 1
-    count = 0
-    for subset in combinations(edges, n - 1):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        ok = True
-        for i, j in subset:
-            ri, rj = find(i), find(g.n_left + j)
-            if ri == rj:
-                ok = False
-                break
-            parent[ri] = rj
-        if ok:
-            count += 1
-    return count
+from sandpiles.verify import (
+    det_by_cofactors,
+    random_uniform_matrix,
+    smith_diagonal_by_minors,
+    spanning_trees_by_enumeration,
+)
 
 
 def components_by_bfs(g: BipartiteGraph) -> list[set[int]]:
@@ -90,50 +71,6 @@ def is_prime_by_trial_division(n: int) -> bool:
     return True
 
 
-def det_by_cofactors(rows: list[list[int]]) -> int:
-    """Determinant by Laplace expansion on the first row (exponential)."""
-    size = len(rows)
-    if size == 0:
-        return 1
-    if size == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(size):
-        if rows[0][j] == 0:
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * det_by_cofactors(minor)
-        total += term if j % 2 == 0 else -term
-    return total
-
-
-def smith_diagonal_by_minors(rows: list[list[int]]) -> tuple[int, ...]:
-    """Smith diagonal via determinantal divisors d_k = D_k / D_(k-1)."""
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    size = min(height, width)
-    divisors = [1]
-    for k in range(1, size + 1):
-        g = 0
-        for rsel in combinations(range(height), k):
-            for csel in combinations(range(width), k):
-                sub = [[rows[i][j] for j in csel] for i in rsel]
-                g = gcd(g, det_by_cofactors(sub))
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        divisors.append(g)
-        if g == 0:
-            break
-    diag = []
-    for k in range(1, len(divisors)):
-        prev, cur = divisors[k - 1], divisors[k]
-        diag.append(0 if cur == 0 else cur // prev)
-    diag.extend(0 for _ in range(size - len(diag)))
-    return tuple(diag)
-
-
 def invariant_factors_by_minors(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(d for d in smith_diagonal_by_minors(rows) if d >= 2)
 
@@ -177,11 +114,6 @@ def full_rank_probability_uniform(n: int, m: int, p: int) -> Fraction:
     for i in range(m - n + 1, m + 1):
         prob *= 1 - Fraction(1, p) ** i
     return prob
-
-
-def random_uniform_matrix(stream: SplitMix64, rows: int, cols: int, p: int) -> PrimeFieldMatrix:
-    entries = [[stream.next_below(p) for _ in range(cols)] for _ in range(rows)]
-    return PrimeFieldMatrix(p, entries)
 
 
 def random_biadjacency(stream: SplitMix64, rows: int, cols: int, q: float) -> np.ndarray:

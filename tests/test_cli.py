@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from sandpiles import BipartiteGraph, save_graph
+from sandpiles import BipartiteGraph, save_graph, verify
 from sandpiles.cli import main
 
 
@@ -157,9 +157,26 @@ def test_group_missing_file(capsys, tmp_path):
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert all(line.startswith("PASS") for line in lines[:-1])
-    assert lines[-1].endswith("checks passed")
+    # Every line is pinned, so a change to a check or its oracles shows here.
+    assert out.splitlines() == [
+        "PASS schur-corank-preservation: 1000 instances over p in (2, 3, 5, 7), 0 corank mismatches",
+        "PASS binomial-conditional-mean-identity: 3900 exact comparisons (n <= 40, 5 alphas), 0 mismatches",
+        "PASS smith-form-oracles: complete 2x3 / 2x2 graphs, diag(2,3), 60 random matrices vs gcd-of-minors",
+        "PASS gaussian-local-estimate-convergence: relative errors ['2.50e-03', '2.50e-04', '2.50e-05']",
+        "4/4 checks passed",
+    ]
+
+
+def test_verify_fails_on_a_wrong_smith_form_or_tree_count(monkeypatch, capsys):
+    with monkeypatch.context() as m:
+        m.setattr(verify, "smith_normal_form", lambda _m: (1, 1))
+        check = verify.check_smith_form_oracles()
+    assert check.passed is False and "diag(2,3) Smith form (1, 1) != (1, 6)" in check.detail
+    assert "Smith form (1, 1) != minors oracle" in check.detail
+    monkeypatch.setattr(verify, "spanning_tree_count", lambda _g: 11)
+    assert verify.check_smith_form_oracles().passed is False
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1 and "FAIL smith-form-oracles: complete 2x3 tree counts det=11" in out
 
 
 def test_unknown_arguments_exit_two(capsys):

@@ -69,6 +69,10 @@ def test_matrix_construction_reduces_entries():
     big = PrimeFieldMatrix(2147483647, np.array([[2**40, -(2**40)]], dtype=np.int64))
     assert big.entries.tolist() == [[2**40 % 2147483647, -(2**40) % 2147483647]]
     assert PrimeFieldMatrix(2, np.array([[3, 0]], dtype=np.uint8)).entries.tolist() == [[1, 0]]
+    # Unsigned entries at or above 2**63 are reduced, not wrapped through int64.
+    huge = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
+    assert PrimeFieldMatrix(3, huge).entries.tolist() == [[0, 2]]
+    assert PrimeFieldMatrix(257, np.array([[255, 3]], dtype=np.uint8)).entries.tolist() == [[255, 3]]
 
 
 def test_matrix_construction_copies_already_reduced_entries():

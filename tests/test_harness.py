@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -34,6 +35,7 @@ from sandpiles import (
     write_result_json,
     write_trials_csv,
 )
+from sandpiles import harness
 from sandpiles.harness import BALANCED_NS, QSWEEP_QS
 
 
@@ -167,6 +169,27 @@ def test_mcorank_extras_and_regime_counts():
     assert all(obs >= 0 for obs in result.per_trial)
 
 
+def test_mcorank_counts_schur_mismatches(monkeypatch):
+    real, reports = harness.corank_pipeline, []
+
+    def skewed(m):  # trials 1 and 4 report a Schur corank one above the direct one
+        report = real(m)
+        if len(reports) in (1, 4):
+            report = dataclasses.replace(report, corank_schur=report.corank_direct + 1)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(harness, "corank_pipeline", skewed)
+    result = run_mcorank_experiment(_cfg(kind="m-corank", p=3, trials=6, master_seed=616))
+    assert result.per_trial == tuple(r.corank_direct for r in reports)
+    assert result.extras["schur_mismatches"] == 2
+    assert result.extras["schur_all_equal"] is False
+    regimes = [r.regime for r in reports]
+    expected_counts = [(g, regimes.count(g)) for g in dict.fromkeys(regimes)]
+    assert list(result.extras["regime_counts"].items()) == expected_counts
+    assert sum(result.extras["regime_counts"].values()) == 6
+
+
 def test_mcorank_matches_predicted_law_at_moderate_size():
     # Distributional check at the documented operating point: corank of the
     # uniformized matrix vs the truncated binomial, Wasserstein-1 within 2.
@@ -260,6 +283,15 @@ def test_balanced_scaling_structure():
     for (n, ratio), sub in zip(sweep.rows, sweep.results):
         assert sub.config.n == int(n)
         assert ratio == pytest.approx(sub.mean / n)
+
+
+def test_sweep_subconfigs_write_no_file_and_use_substreams():
+    for run, kind, values in ((run_qsweep, "q-sweep", (0.3, 0.6)),
+                              (run_balanced_scaling, "balanced-scaling", (6, 8))):
+        cfg = _cfg(kind=kind, alpha=1.0, trials=2, output_path="x.json")
+        for i, sub in enumerate(run(cfg, values).results):
+            assert sub.config.output_path is None
+            assert sub.config.master_seed == derive_seed(cfg.master_seed, i)
 
 
 def test_run_experiment_dispatch():
