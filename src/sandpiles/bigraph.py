@@ -153,9 +153,17 @@ def sample_bipartite_from_stream(
 
 
 def _degrees(g: BipartiteGraph) -> np.ndarray:
-    left = g.biadjacency.sum(axis=1)
-    right = g.biadjacency.sum(axis=0)
-    return np.concatenate([left, right])
+    return np.concatenate([g.biadjacency.sum(axis=1), g.biadjacency.sum(axis=0)])
+
+
+def _laplacian_layout(g: BipartiteGraph, edge: int, diagonal: np.ndarray) -> np.ndarray:
+    """N x N int64 Laplacian layout: ``edge`` at each edge, ``diagonal`` on the diagonal."""
+    n = g.n_vertices
+    full = np.zeros((n, n), dtype=np.int64)
+    full[: g.n_left, g.n_left :] = edge * g.biadjacency
+    full[g.n_left :, : g.n_left] = edge * g.biadjacency.T
+    full[np.arange(n), np.arange(n)] = diagonal
+    return full
 
 
 def laplacian(g: BipartiteGraph) -> IntegerMatrix:
@@ -165,12 +173,7 @@ def laplacian(g: BipartiteGraph) -> IntegerMatrix:
     symmetric, has zero row sums, and is positive semidefinite with kernel
     dimension equal to the number of connected components.
     """
-    n = g.n_vertices
-    full = np.zeros((n, n), dtype=np.int64)
-    full[: g.n_left, g.n_left :] = -g.biadjacency
-    full[g.n_left :, : g.n_left] = -g.biadjacency.T
-    full[np.arange(n), np.arange(n)] = _degrees(g)
-    return IntegerMatrix(full)
+    return IntegerMatrix(_laplacian_layout(g, -1, _degrees(g)))
 
 
 def laplacian_mod_p(g: BipartiteGraph, p: int) -> PrimeFieldMatrix:
@@ -179,12 +182,7 @@ def laplacian_mod_p(g: BipartiteGraph, p: int) -> PrimeFieldMatrix:
     Same value as ``PrimeFieldMatrix(p, laplacian(g).entries)`` but cheap
     enough to call thousands of times in Monte Carlo loops.
     """
-    n = g.n_vertices
-    full = np.zeros((n, n), dtype=np.int64)
-    full[: g.n_left, g.n_left :] = (p - 1) * g.biadjacency
-    full[g.n_left :, : g.n_left] = (p - 1) * g.biadjacency.T
-    full[np.arange(n), np.arange(n)] = _degrees(g) % p
-    return PrimeFieldMatrix(p, full)
+    return PrimeFieldMatrix(p, _laplacian_layout(g, p - 1, _degrees(g) % p))
 
 
 def reduced_laplacian(g: BipartiteGraph, drop: int) -> IntegerMatrix:
@@ -198,8 +196,7 @@ def reduced_laplacian(g: BipartiteGraph, drop: int) -> IntegerMatrix:
     if not 0 <= drop < n:
         raise IndexError(f"drop index {drop} out of range for {n} vertices")
     keep = [i for i in range(n) if i != drop]
-    full = laplacian(g).entries
-    return IntegerMatrix(full[np.ix_(keep, keep)])
+    return IntegerMatrix(_laplacian_layout(g, -1, _degrees(g))[np.ix_(keep, keep)])
 
 
 def connected_components(g: BipartiteGraph) -> list[set[int]]:
@@ -227,26 +224,35 @@ def graph_to_json(g: BipartiteGraph) -> dict:
     }
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` as an int; bools, floats and strings are refused, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidShapeError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def graph_from_json(data: dict) -> BipartiteGraph:
     """Inverse of :func:`graph_to_json`, with full validation."""
     try:
-        n_left = int(data["n_left"])
-        n_right = int(data["n_right"])
+        n_left = _json_int(data["n_left"], "n_left")
+        n_right = _json_int(data["n_right"], "n_right")
         edges = data["edges"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InvalidShapeError(f"malformed graph object: {exc}") from exc
     if n_left < 1 or n_right < 1:
         raise InvalidShapeError(
             f"both parts must be nonempty, got {n_left} and {n_right}"
         )
+    if not isinstance(edges, (list, tuple)):
+        raise InvalidShapeError(f"edges must be a list, got {edges!r}")
     biadj = np.zeros((n_left, n_right), dtype=np.int64)
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise InvalidShapeError(f"edge {e!r} is not a pair")
-        i, j = e
-        if not 0 <= int(i) < n_left or not 0 <= int(j) < n_right:
+        i, j = _json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")
+        if not 0 <= i < n_left or not 0 <= j < n_right:
             raise InvalidShapeError(f"edge {e!r} out of range")
-        biadj[int(i), int(j)] = 1
+        biadj[i, j] = 1
     return BipartiteGraph(n_left, n_right, biadj)
 
 

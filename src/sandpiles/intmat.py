@@ -52,7 +52,7 @@ class IntegerMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntegerMatrix":
-        return cls([[int(v) for v in row] for row in rows])
+        return cls([list(row) for row in rows])
 
     @property
     def rows(self) -> int:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .bigraph import (
     BipartiteGraph,
@@ -224,5 +223,6 @@ def diag_uniformity_stat(
         counts[int(d1.matrix.entries[entry_index, entry_index])] += 1
     expected = trials / p
     stat = float(((counts - expected) ** 2 / expected).sum())
+    from scipy.stats import chi2  # slow to import; only this diagnostic needs it
     pvalue = float(chi2.sf(stat, p - 1))
     return stat, pvalue

@@ -7,7 +7,7 @@ distributional distance) distributed as
     max(B(n, 1/p) - floor(alpha*n), 0),
 
 a truncated shifted binomial.  Everything else in the module is supporting
-machinery: exact binomial arithmetic over ``fractions.Fraction``, the three
+machinery: exact binomial arithmetic on integer numerators, the three
 expectation regimes (alpha below / above / at 1/p), an exact identity for
 binomial conditional means, the De Moivre-Laplace local estimate, a Hoeffding
 tail bound, and a min-entropy lower bound for the full-rank probability of
@@ -21,7 +21,6 @@ error comfortably below 1e-12.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,8 +66,9 @@ class BinomialSpec:
         return isinstance(self.prob, Fraction)
 
 
-def _pmf_exact(n: int, q: Fraction, k: int) -> Fraction:
-    return comb(n, k) * q**k * (1 - q) ** (n - k)
+def _pmf_numerator(n: int, q: Fraction, k: int) -> int:
+    """Numerator of P(B(n, q) = k) over the shared denominator b**n, q = a/b."""
+    return comb(n, k) * q.numerator**k * (q.denominator - q.numerator) ** (n - k)
 
 
 def _pmf_float(n: int, q: float, k: int) -> float:
@@ -88,7 +88,7 @@ def binom_pmf(spec: BinomialSpec, k: int) -> Fraction | float:
     if not 0 <= k <= spec.n:
         raise OutOfSupportError(f"k={k} outside support [0, {spec.n}]")
     if spec.exact:
-        return _pmf_exact(spec.n, spec.prob, k)
+        return Fraction(_pmf_numerator(spec.n, spec.prob, k), spec.prob.denominator**spec.n)
     return _pmf_float(spec.n, spec.prob, k)
 
 
@@ -122,17 +122,16 @@ def conditional_mean_above(n: int, alpha: Fraction | float, s: int) -> Fraction 
     a = Fraction(alpha)
     if not 0 <= a <= 1:
         raise InvalidParamsError(f"alpha must be in [0, 1], got {alpha}")
-    tail = binom_tail_gt(BinomialSpec(n, a), s)
+    tail = sum(_pmf_numerator(n, a, k) for k in range(max(s + 1, 0), n + 1))
     if tail == 0:
         raise EmptyConditioningEventError(
             f"B({n}, {alpha}) > {s} has probability zero"
         )
-    if 0 <= s <= n - 1:
-        bump = _pmf_exact(n - 1, a, s)
-    else:
-        bump = Fraction(0)
-    result = a * n + a * (1 - a) * n * bump / tail
-    return result if isinstance(alpha, Fraction) else float(result)
+    bump = _pmf_numerator(n - 1, a, s) if s >= 0 else 0
+    # With a = u/v, tail and bump are over v**n and v**(n-1): one division.
+    u, v = a.numerator, a.denominator
+    num, den = u * n * (tail + (v - u) * bump), v * tail
+    return Fraction(num, den) if isinstance(alpha, Fraction) else num / den
 
 
 def expected_excess_exact(n: int, alpha_cut: Fraction | float, p: int) -> float:
@@ -145,13 +144,12 @@ def expected_excess_exact(n: int, alpha_cut: Fraction | float, p: int) -> float:
         raise NotPrimeError(f"p must be prime, got {p}")
     if not isinstance(n, int) or n < 0:
         raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
-    ac = Fraction(alpha_cut)
+    c, d = Fraction(alpha_cut).as_integer_ratio()
     q = Fraction(1, p)
-    cut = math.floor(ac * n)
-    total = Fraction(0)
-    for k in range(max(cut + 1, 0), n + 1):
-        total += (k - ac * n) * _pmf_exact(n, q, k)
-    return float(total)
+    # (k - c*n/d) * pmf(k) = (d*k - c*n) * numerator(k) / (d * p**n), k > floor(c*n/d).
+    terms = range(max(c * n // d + 1, 0), n + 1)
+    total = sum((d * k - c * n) * _pmf_numerator(n, q, k) for k in terms)
+    return total / (d * p**n)
 
 
 def expected_rank_asymptotic(n: int, alpha: Fraction | float, p: int) -> tuple[float, str]:
@@ -252,14 +250,11 @@ def rank_pmf_theoretical(n: int, alpha: Fraction | float, p: int) -> RankDistrib
         raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
     q = Fraction(1, p)
     offset = floor_ratio(alpha, n)
-    at_zero = sum(
-        (_pmf_exact(n, q, k) for k in range(0, min(offset, n) + 1)), Fraction(0)
-    )
-    pmf: dict[int, float] = {0: float(at_zero)}
-    j = 1
-    while offset + j <= n:
-        pmf[j] = float(_pmf_exact(n, q, offset + j))
-        j += 1
+    den = p**n
+    at_zero = sum(_pmf_numerator(n, q, k) for k in range(0, min(offset, n) + 1))
+    pmf: dict[int, float] = {0: at_zero / den}
+    for j in range(1, n - offset + 1):
+        pmf[j] = _pmf_numerator(n, q, offset + j) / den
     return RankDistribution(n=n, alpha=float(alpha), p=p, offset=offset, pmf=pmf)
 
 

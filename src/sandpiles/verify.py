@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, sqrt
+from math import gcd, sqrt
 
 import numpy as np
 
@@ -237,13 +237,10 @@ def check_dml_convergence() -> CheckResult:
     Relative error at the central point must shrink along n in
     {100, 1000, 10000} and stay below 10/sqrt(n) at each.
     """
-    alpha = Fraction(1, 2)
     rel_errors = []
     for n in (100, 1000, 10000):
-        s = n // 2
-        exact = comb(n, s) * alpha**s * (1 - alpha) ** (n - s)
-        estimate = dml_estimate(n, 0.5, s)
-        rel_errors.append(abs(estimate - float(exact)) / float(exact))
+        exact = float(binom_pmf(BinomialSpec(n, Fraction(1, 2)), n // 2))
+        rel_errors.append(abs(dml_estimate(n, 0.5, n // 2) - exact) / exact)
     shrinking = rel_errors[0] > rel_errors[1] > rel_errors[2]
     bounded = all(
         err <= 10.0 / sqrt(n) for err, n in zip(rel_errors, (100, 1000, 10000))

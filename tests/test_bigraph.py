@@ -13,6 +13,7 @@ from sandpiles import (
     BipartiteGraph,
     GraphModelParams,
     InvalidParamsError,
+    InvalidShapeError,
     SplitMix64,
     connected_components,
     floor_ratio,
@@ -202,6 +203,19 @@ def test_json_rejects_malformed_payloads():
         graph_from_json({"n_left": 0, "n_right": 2, "edges": []})
     with pytest.raises(ValueError):
         graph_from_json({"n_left": 2, "n_right": 2, "edges": [[0]]})
+    # Non-integers are refused rather than truncated by int().
+    for bad in (
+        {"n_left": 2.9, "n_right": "2", "edges": [[0.9, 1.5], [True, 0]]},
+        {"n_left": 2.0, "n_right": 2, "edges": []},
+        {"n_left": 2, "n_right": "2", "edges": []},
+        {"n_left": True, "n_right": 2, "edges": []},
+        {"n_left": 2, "n_right": 2, "edges": [[0.0, 1]]},
+        {"n_left": 2, "n_right": 2, "edges": [[0, "1"]]},
+        {"n_left": 2, "n_right": 2, "edges": [[True, 0]]},
+        {"n_left": 2, "n_right": 2, "edges": 5},
+    ):
+        with pytest.raises(InvalidShapeError):
+            graph_from_json(bad)
 
 
 def test_file_round_trip(tmp_path):

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sandpiles
 from sandpiles import BipartiteGraph, save_graph, verify
 from sandpiles.cli import main
 
@@ -152,6 +157,27 @@ def test_group_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "group", "--edges", str(tmp_path / "nope.json"))
     assert code == 2
     assert "error:" in err
+
+
+def test_group_rejects_non_integer_graph_json(tmp_path, capsys):
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps({"n_left": 2.9, "n_right": 2, "edges": [[0.9, 1.5]]}))
+    code, out, err = run_cli(capsys, "group", "--edges", str(path))
+    assert code == 2
+    assert out == ""
+    assert "must be an integer" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes most of a second to import and only one diagnostic
+    # in reduction.py uses it, so the CLI must not pull it in.
+    src = str(Path(sandpiles.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, sandpiles.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def test_verify_passes(capsys):

@@ -40,6 +40,11 @@ def test_construction_rejects_bad_input():
         IntegerMatrix([[True, False]])
     with pytest.raises(ValueError):
         IntegerMatrix([1, 2, 3])
+    # from_rows validates like the constructor instead of truncating.
+    for rows in ([[2.7, True]], [[2.0]], [[False]], [["3"]]):
+        with pytest.raises(ValueError):
+            IntegerMatrix.from_rows(rows)
+    assert IntegerMatrix.from_rows([np.array([1, -2]), (3, 4)]).to_lists() == [[1, -2], [3, 4]]
 
 
 def test_entries_are_read_only():

@@ -213,6 +213,39 @@ def test_rank_pmf_sums_to_one_sweep():
         assert dist.mean() >= 0
 
 
+def test_rank_pmf_and_excess_are_rounded_once_sweep():
+    # Each float must be the exact rational rounded once, not a sum of
+    # rounded terms, so the comparison is equality, not approx.
+    def oracle_pmf(n, p, k):
+        return binom_pmf_fraction(n, Fraction(1, p), k)
+
+    def oracle_excess(n, cut, p):
+        c = Fraction(cut)
+        return sum(
+            ((k - c * n) * oracle_pmf(n, p, k) for k in range(math.floor(c * n) + 1, n + 1)),
+            Fraction(0),
+        )
+
+    cases = [(1, 0.5, 2), (1, 1.0, 3), (7, 1.0, 5), (10, 0.3, 3), (12, 0.3, 2**31 - 1)]
+    stream = SplitMix64(1729)
+    for _ in range(30):
+        n = 1 + stream.next_below(60)
+        p = (2, 3, 5, 7, 2**31 - 1)[stream.next_below(5)]
+        alpha = (1 + stream.next_below(n)) / n if stream.next_below(2) else 0.1
+        cases.append((n, alpha, p))
+    for n, alpha, p in cases:
+        dist = rank_pmf_theoretical(n, alpha, p)
+        offset = math.floor(Fraction(alpha) * n)
+        atom = sum((oracle_pmf(n, p, k) for k in range(min(offset, n) + 1)), Fraction(0))
+        assert dist.offset == offset
+        assert dist.pmf[0] == float(atom)
+        for j in range(1, n - offset + 1):
+            assert dist.pmf[j] == float(oracle_pmf(n, p, offset + j))
+        assert len(dist.pmf) == n - offset + 1
+        for cut in (alpha, 0, Fraction(2, 7)):
+            assert expected_excess_exact(n, cut, p) == float(oracle_excess(n, cut, p))
+
+
 def test_rank_distribution_quantile_and_cdf():
     dist = rank_pmf_theoretical(20, 0.5, 2)
     assert dist.cdf_at(-1) == 0.0
