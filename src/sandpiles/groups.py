@@ -32,9 +32,14 @@ from .bigraph import (
     laplacian_mod_p,
     reduced_laplacian,
 )
-from .errors import DisconnectedError, NotPrimeError
+from .errors import DisconnectedError, GuardExceededError, NotPrimeError
 from .gfp import corank_mod_p, is_prime
 from .intmat import IntegerMatrix, determinant, normalize_divisor_chain, smith_normal_form
+
+# Largest component, in vertices, whose exact Smith form is attempted.  At
+# alpha = 1, q = 0.5 one Smith form took 14-36 s at 200 vertices and up to
+# 67 s at 210 on a 2-core host, and the cost grows steeply beyond.
+SNF_VERTEX_GUARD = 200
 
 
 @dataclass(frozen=True)
@@ -99,24 +104,30 @@ def sandpile_group(g: BipartiteGraph) -> GroupInvariants:
     Computed per connected component (reduced Laplacian dropping the last
     vertex of the component, then Smith normal form) and combined with
     gcd/lcm normalization, so disconnected graphs get the direct sum of their
-    component groups without ever factoring a large integer.
+    component groups without ever factoring a large integer.  Raises
+    :class:`GuardExceededError` before any elimination when a component has
+    more than ``SNF_VERTEX_GUARD`` vertices.
     """
+    comps = connected_components(g)
+    largest = max(len(comp) for comp in comps)
+    if largest > SNF_VERTEX_GUARD:
+        raise GuardExceededError(
+            f"a component of {largest} vertices exceeds the exact-Smith-form "
+            f"guard ({SNF_VERTEX_GUARD}); use a smaller graph"
+        )
     full = laplacian(g).entries
     collected: list[int] = []
-    for comp in connected_components(g):
+    for comp in comps:
         if len(comp) == 1:
             continue
-        order = sorted(comp)
-        keep = order[:-1]
-        block = IntegerMatrix(full[np.ix_(keep, keep)])
-        diag = smith_normal_form(block)
+        keep = sorted(comp)[:-1]
+        diag = smith_normal_form(IntegerMatrix(full[np.ix_(keep, keep)]))
         # A connected component has nonsingular reduced Laplacian, so the
         # Smith diagonal is all positive.
         if not all(d > 0 for d in diag):
             raise RuntimeError("reduced Laplacian of a connected component was singular")
         collected.extend(d for d in diag if d >= 2)
-    factors = tuple(d for d in normalize_divisor_chain(collected) if d >= 2)
-    return GroupInvariants(factors=factors, order=prod(factors), free_rank=0)
+    return GroupInvariants.from_snf_diagonal(collected)
 
 
 def p_rank(g: BipartiteGraph, p: int) -> int:

@@ -28,13 +28,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bigraph import GraphModelParams, floor_ratio, sample_bipartite
-from .errors import (
-    EmptyInputError,
-    GuardExceededError,
-    InvalidParamsError,
-    NotPrimeError,
-)
+from .bigraph import GraphModelParams, sample_bipartite
+from .errors import EmptyInputError, InvalidParamsError, NotPrimeError
 from .gfp import is_prime
 from .groups import is_cyclic, p_rank
 from .reduction import build_M, corank_pipeline
@@ -45,10 +40,6 @@ EXPERIMENT_KINDS = ("prank", "cyclicity", "m-corank", "q-sweep", "balanced-scali
 
 QSWEEP_QS = (0.2, 0.35, 0.5, 0.65, 0.8)
 BALANCED_NS = (50, 100, 200)
-
-# Exact integer Smith form on every trial gets slow past this many vertices;
-# the cyclicity experiment refuses rather than silently crawl.
-SNF_VERTEX_GUARD = 500
 
 _QUANTILE_LEVELS = (1, 25, 50, 75, 99)
 _COUPLING_TAIL_RANGE = range(1, 11)
@@ -211,18 +202,13 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 def run_cyclicity_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Record, per sampled graph, whether the sandpile group is cyclic.
 
-    Uses the exact integer Smith form on every trial, so it refuses graphs
-    with more than ``SNF_VERTEX_GUARD`` vertices (:class:`GuardExceededError`).
+    Uses the exact integer Smith form on every trial, so a graph with a
+    component over ``groups.SNF_VERTEX_GUARD`` vertices is refused
+    (:class:`GuardExceededError`).
     The 95% Wilson interval for the cyclic fraction lands in
     ``extras["wilson95"]``.
     """
     _check_kind(cfg, "cyclicity")
-    total_vertices = cfg.n + floor_ratio(cfg.alpha, cfg.n)
-    if total_vertices > SNF_VERTEX_GUARD:
-        raise GuardExceededError(
-            f"{total_vertices} vertices exceeds the exact-Smith-form guard "
-            f"({SNF_VERTEX_GUARD}); use a smaller n"
-        )
     obs, elapsed_ms = _run_trials(cfg, lambda seed: is_cyclic(_sample(cfg, seed)))
     low, high = wilson_interval(sum(obs), cfg.trials)
     return _result(cfg, obs, elapsed_ms, extras={"wilson95": [low, high]})

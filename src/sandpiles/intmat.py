@@ -7,8 +7,9 @@ exceed 64 bits).
 
 The Smith form routine is the classical elimination: repeatedly move the
 smallest-magnitude nonzero entry of the working submatrix to the pivot
-position, reduce its row and column by floor-division remainders until both
-are clear, and finish with a pairwise gcd/lcm pass that enforces the
+position, reduce its row and column by floor-division remainders, and once
+both are clear record the pivot and drop its row and column.  A pairwise
+gcd/lcm pass on the recorded pivots then enforces the
 divisibility chain d1 | d2 | ... .  The gcd/lcm pass is also exposed on its
 own (:func:`normalize_divisor_chain`) because combining the invariant factors
 of a direct sum needs exactly the same fix-up.
@@ -111,59 +112,29 @@ def smith_normal_form(m: IntegerMatrix) -> tuple[int, ...]:
     dividing d_(i+1); zeros (if any) come last.  The input is never mutated.
     """
     a = np.array(m.entries, dtype=object)
-    rows, cols = a.shape
-    t = 0
-    while t < min(rows, cols):
-        sub = a[t:, t:]
-        nzr, nzc = np.nonzero(sub)
+    diag: list[int] = []
+    while True:
+        nzr, nzc = np.nonzero(a)
         if nzr.size == 0:
             break
         # Smallest-magnitude pivot; np.argmin takes the first minimum in
-        # row-major order, which is precisely the (row, col) tie-break.
-        vals = np.abs(sub[nzr, nzc])
-        k = int(np.argmin(vals))
-        pr, pc = t + int(nzr[k]), t + int(nzc[k])
-        if pr != t:
-            a[[t, pr]] = a[[pr, t]]
-        if pc != t:
-            a[:, [t, pc]] = a[:, [pc, t]]
-        while True:
-            if a[t, t] < 0:
-                a[t, :] = -a[t, :]
-            pivot = a[t, t]
-            col = a[t + 1 :, t]
-            nzc2 = np.nonzero(col)[0]
-            if nzc2.size:
-                quot = col[nzc2] // pivot
-                a[t + 1 + nzc2, :] = a[t + 1 + nzc2, :] - quot[:, None] * a[t, :]
-                rem = a[t + 1 :, t]
-                nz_rem = np.nonzero(rem)[0]
-                if nz_rem.size:
-                    # A remainder smaller than the pivot survives; promote the
-                    # smallest one and reduce again.
-                    k2 = int(np.argmin(np.abs(rem[nz_rem])))
-                    swap = t + 1 + int(nz_rem[k2])
-                    a[[t, swap]] = a[[swap, t]]
-                    continue
-            row = a[t, t + 1 :]
-            nzr2 = np.nonzero(row)[0]
-            if nzr2.size:
-                quot = row[nzr2] // pivot
-                a[:, t + 1 + nzr2] = a[:, t + 1 + nzr2] - a[:, [t]] * quot[None, :]
-                rem = a[t, t + 1 :]
-                nz_rem = np.nonzero(rem)[0]
-                if nz_rem.size:
-                    k2 = int(np.argmin(np.abs(rem[nz_rem])))
-                    swap = t + 1 + int(nz_rem[k2])
-                    a[:, [t, swap]] = a[:, [swap, t]]
-                    continue
-                # Column ops can resurrect entries below the pivot.
-                if np.nonzero(a[t + 1 :, t])[0].size:
-                    continue
-            break
-        t += 1
-    diag = [abs(int(a[i, i])) for i in range(t)]
-    diag.extend(0 for _ in range(min(rows, cols) - t))
+        # row-major order, which is the (row, col) tie-break.
+        k = int(np.argmin(np.abs(a[nzr, nzc])))
+        r, c = int(nzr[k]), int(nzc[k])
+        a[[0, r]] = a[[r, 0]]
+        a[:, [0, c]] = a[:, [c, 0]]
+        pivot = a[0, 0]
+        rows = np.flatnonzero(a[1:, 0]) + 1
+        a[rows] -= (a[rows, 0] // pivot)[:, None] * a[0]
+        # Once column 0 is clear below the pivot, the column pass changes
+        # row 0 alone.  Any remainder left in row or column 0 is smaller
+        # than |pivot|, so the next pivot is too and the loop ends.
+        if not a[1:, 0].any():
+            a[0, 1:] %= pivot
+            if not a[0, 1:].any():
+                diag.append(abs(pivot))
+                a = a[1:, 1:]
+    diag += [0] * (min(m.rows, m.cols) - len(diag))
     return normalize_divisor_chain(diag)
 
 

@@ -142,15 +142,13 @@ class PipelineReport:
     ``r`` counts zero diagonal entries in the D1 block; ``regime`` records
     whether r reached the truncation cut floor(alpha*n) of the provenance
     model (the sign that decides which branch of the corank analysis
-    applies).  ``schur_computed`` stays True as long as the eliminated block
-    was invertible, which the nonzero-diagonal selection guarantees.
+    applies).
     """
 
     corank_direct: int
     corank_schur: int
     r: int
     regime: str
-    schur_computed: bool = True
 
     def to_json(self) -> dict:
         return {
@@ -158,7 +156,6 @@ class PipelineReport:
             "corank_schur": self.corank_schur,
             "r": self.r,
             "regime": self.regime,
-            "schur_computed": self.schur_computed,
         }
 
 

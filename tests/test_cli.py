@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import sandpiles
-from sandpiles import BipartiteGraph, save_graph, verify
+from sandpiles import BipartiteGraph, groups, save_graph, verify
 from sandpiles.cli import main
 
 
@@ -151,6 +151,27 @@ def test_group_on_disconnected_graph(tmp_path, capsys):
     assert payload["n_components"] == 2
     assert payload["spanning_trees"] is None
     assert payload["invariant_factors"] == []
+
+
+def test_group_refuses_a_component_over_the_guard(tmp_path, capsys):
+    guard = groups.SNF_VERTEX_GUARD
+    star = tmp_path / "star.json"
+    save_graph(BipartiteGraph(1, guard, np.ones((1, guard), dtype=np.int64)), star)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "group", "--edges", str(star))
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert "guard" in err
+    # More vertices than the guard in all, in components of 4 vertices each.
+    k = guard // 4 + 1
+    pairs = tmp_path / "pairs.json"
+    blocks = np.kron(np.eye(k, dtype=np.int64), np.ones((2, 2), dtype=np.int64))
+    save_graph(BipartiteGraph(2 * k, 2 * k, blocks), pairs)
+    code, out, _ = run_cli(capsys, "group", "--edges", str(pairs))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_components"] == k
+    assert payload["invariant_factors"] == [4] * k
 
 
 def test_group_missing_file(capsys, tmp_path):

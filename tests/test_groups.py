@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from sandpiles import (
     DisconnectedError,
     GraphModelParams,
     GroupInvariants,
+    GuardExceededError,
     IntegerMatrix,
     NotPrimeError,
     connected_components,
@@ -119,6 +122,24 @@ def test_disconnected_graph_group_and_trees():
     assert inv.free_rank == 0
     with pytest.raises(DisconnectedError):
         spanning_tree_count(g)
+
+
+def test_guard_refuses_a_large_component_but_not_many_small_ones():
+    guard = groups_mod.SNF_VERTEX_GUARD
+    star = complete_bipartite(1, guard)  # one component of guard + 1 vertices
+    start = time.perf_counter()
+    with pytest.raises(GuardExceededError):
+        sandpile_group(star)
+    with pytest.raises(GuardExceededError):
+        is_cyclic(star)
+    assert time.perf_counter() - start < 2.0
+    # More vertices than the guard in all, but every component is a K_{2,2}.
+    k = guard // 4 + 1
+    blocks = np.kron(np.eye(k, dtype=np.int64), np.ones((2, 2), dtype=np.int64))
+    g = BipartiteGraph(2 * k, 2 * k, blocks)
+    assert g.n_vertices > guard
+    inv = sandpile_group(g)
+    assert inv.factors == (4,) * k and inv.order == 4**k
 
 
 def test_disconnected_union_of_complete_graphs():

@@ -91,10 +91,24 @@ def test_smith_form_non_square_shapes():
 
 def test_smith_form_diagonal_is_nonnegative_divisor_chain():
     stream = SplitMix64(8128)
-    for _ in range(150):
+    # Without +-1 entries, or with entries near 10**6, most pivots leave a
+    # nonzero remainder and have to be replaced by a smaller one.
+    no_units = (0, 2, -2, 3, -3, 4, -4, 6, -6)
+    near_million = tuple(10**6 + d for d in (-7, -1, 0, 3, 12))
+    for trial in range(300):
         rows = 1 + stream.next_below(4)
         cols = 1 + stream.next_below(4)
-        m = IntegerMatrix(_random_entries(stream, rows, cols, -6, 6))
+        if trial < 150:
+            entries = _random_entries(stream, rows, cols, -6, 6)
+        else:
+            entries = [
+                [no_units[stream.next_below(len(no_units))] for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            if trial % 3 == 0:
+                entries[0][0] = near_million[stream.next_below(len(near_million))]
+                entries[-1][-1] = -near_million[stream.next_below(len(near_million))]
+        m = IntegerMatrix(entries)
         diag = smith_normal_form(m)
         assert len(diag) == min(rows, cols)
         assert all(d >= 0 for d in diag)
