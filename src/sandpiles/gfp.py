@@ -2,16 +2,17 @@
 
 Matrices are stored as read-only numpy int64 arrays with every entry reduced
 to [0, p).  For p < 2**31 a single product of two residues fits in an int64,
-so Gaussian elimination runs vectorised without ever leaving exact integer
-arithmetic.  Matrix products guard against accumulator overflow and fall back
-to Python-int (object dtype) arithmetic when p is large enough that a dot
-product could wrap.
+so elimination runs vectorised without ever leaving exact integer arithmetic.
 
-Rank computation has a dedicated GF(2) fast path (rows packed into Python
-integers, eliminated with xor); for other primes it is forward elimination to
-echelon form.  Full Gauss-Jordan elimination is kept for inversion only.  Both
-rank paths are cross-checked against Gauss-Jordan and a minor oracle in the
-test-suite.
+One forward-elimination loop, :func:`_echelon`, serves rank, inverse and
+Schur complement.  The rank of a matrix is its pivot count.  Solving
+``a @ x = b`` eliminates ``a`` inside ``[[a, b], [I, 0]]``, whose
+bottom-right block then holds ``-x``; the inverse is the solve against ``I``,
+and the Schur complement needs one solve and one matrix product.  Over GF(2)
+the rank alone has a faster path: rows packed into Python integers and
+eliminated with xor.  The test-suite checks both rank paths against minor
+and row-reduction oracles, and the Schur complement against determinant
+quotients.
 """
 
 from __future__ import annotations
@@ -184,41 +185,6 @@ def submatrix(m: PrimeFieldMatrix, rows, cols) -> PrimeFieldMatrix:
     return PrimeFieldMatrix(m.p, block)
 
 
-def _eliminate(a: np.ndarray, p: int, limit_cols: int | None = None):
-    """In-place Gauss-Jordan elimination mod p; returns the pivot columns.
-
-    Pivoting is deterministic (first nonzero entry at or below the current
-    row), so every result downstream of this routine is bit-for-bit
-    reproducible.  Only the first ``limit_cols`` columns are searched for
-    pivots; trailing columns (e.g. an augmented identity) are just carried
-    along by the row operations.
-    """
-    rows, cols = a.shape
-    if limit_cols is None:
-        limit_cols = cols
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(limit_cols):
-        if r == rows:
-            break
-        hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
-            continue
-        pr = r + int(hits[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), -1, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            a[nz] = (a[nz] - np.outer(col[nz], a[r])) % p
-        pivot_cols.append(c)
-        r += 1
-    return pivot_cols
-
-
 def _pack_gf2_rows(bits: np.ndarray) -> list[int]:
     """Pack a 0/1 int matrix into one Python integer per row (bit j = col j)."""
     packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
@@ -241,23 +207,23 @@ def _rank_gf2(bits: np.ndarray) -> int:
     return rank
 
 
-def _rank_generic(m: PrimeFieldMatrix) -> int:
-    """Rank by forward elimination to row echelon form.
+def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> int:
+    """In-place forward elimination mod p; returns the number of pivots.
 
-    Unlike :func:`_eliminate`, rows above the pivot are left alone and only
-    the columns after the pivot column are updated.  The rank needs nothing
-    else, and on a dense square matrix this is about a third of the entry
-    updates of Gauss-Jordan.
+    Columns ``0 .. cols-1`` are eliminated in order.  Pivots are taken only
+    from the first ``pivot_rows`` rows, first nonzero entry at or below the
+    current row, so every result is bit-for-bit reproducible.  Every row
+    below a pivot, including rows past ``pivot_rows``, is cleared with it.
+    Rows above the pivot are left alone and only the columns after the pivot
+    column are updated, so entries left of the current column are stale:
+    readers use the columns from ``cols`` on, or just the pivot count.
     """
-    a = m.entries.copy()
-    p = m.p
-    rows, cols = a.shape
     r = 0
     for c in range(cols):
-        if r == rows:
+        if r == pivot_rows:
             break
         hits = np.nonzero(a[r:, c])[0]
-        if hits.size == 0:
+        if hits.size == 0 or hits[0] >= pivot_rows - r:
             continue
         if hits[0]:
             pr = r + int(hits[0])
@@ -276,12 +242,31 @@ def rank_mod_p(m: PrimeFieldMatrix) -> int:
     """Rank of ``m`` over Z/pZ."""
     if m.p == 2:
         return _rank_gf2(m.entries)
-    return _rank_generic(m)
+    return _echelon(m.entries.copy(), m.p, m.cols, m.rows)
 
 
 def corank_mod_p(m: PrimeFieldMatrix) -> int:
     """min(rows, cols) minus the rank; for square matrices the nullity."""
     return min(m.rows, m.cols) - rank_mod_p(m)
+
+
+def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """``inverse(a) @ b`` mod p for a square residue matrix ``a``.
+
+    Eliminates the first k columns of ``[[a, b], [I, 0]]`` with pivots from
+    its top k rows.  The bottom-right block is then the Schur complement
+    ``0 - I @ inverse(a) @ b``.  Raises :class:`SingularBlockError` when
+    ``a`` has fewer than k pivots.
+    """
+    k, width = a.shape[0], b.shape[1]
+    w = np.zeros((2 * k, k + width), dtype=np.int64)
+    w[:k, :k] = a
+    w[:k, k:] = b
+    w[k:, :k] = np.eye(k, dtype=np.int64)
+    rank = _echelon(w, p, k, k)
+    if rank != k:
+        raise SingularBlockError(f"matrix of rank {rank} < {k} is singular")
+    return -w[k:, k:] % p
 
 
 def invert_mod_p(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
@@ -291,14 +276,7 @@ def invert_mod_p(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """
     if m.rows != m.cols:
         raise DimensionMismatchError(f"cannot invert non-square {m!r}")
-    n = m.rows
-    aug = np.concatenate(
-        [m.entries.copy(), np.eye(n, dtype=np.int64)], axis=1
-    )
-    pivots = _eliminate(aug, m.p, limit_cols=n)
-    if len(pivots) != n:
-        raise SingularBlockError(f"matrix of rank {len(pivots)} < {n} is singular")
-    return PrimeFieldMatrix(m.p, aug[:, n:])
+    return PrimeFieldMatrix(m.p, _solve(m.entries, np.eye(m.rows, dtype=np.int64), m.p))
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -322,9 +300,11 @@ def schur_complement(m: PrimeFieldMatrix, s: IndexSet) -> PrimeFieldMatrix:
 
     With T the complement of S, the result is
     ``A[T,T] - A[T,S] @ inverse(A[S,S]) @ A[S,T]``, a |T| x |T| matrix over the
-    same field.  When ``A[S,S]`` is invertible, block elimination shows the
-    complement has the same corank as ``m`` -- this is what makes it useful
-    for collapsing a large matrix onto a small interesting block.
+    same field; ``inverse(A[S,S]) @ A[S,T]`` comes from one elimination of
+    ``A[S,S]``, and no inverse is formed.  When ``A[S,S]`` is invertible,
+    block elimination shows the complement has the same corank as ``m`` --
+    this is what makes it useful for collapsing a large matrix onto a small
+    interesting block.
 
     Raises :class:`SingularBlockError` if ``A[S,S]`` is singular and
     :class:`DimensionMismatchError` if ``m`` is not square of size
@@ -339,10 +319,9 @@ def schur_complement(m: PrimeFieldMatrix, s: IndexSet) -> PrimeFieldMatrix:
     t = s.complement()
     if len(s) == 0:
         return PrimeFieldMatrix(m.p, m.entries)
-    a_ss = submatrix(m, s.indices, s.indices)
-    inv_ss = invert_mod_p(a_ss)
+    a_ss = submatrix(m, s.indices, s.indices).entries
     a_tt = submatrix(m, t.indices, t.indices).entries
     a_ts = submatrix(m, t.indices, s.indices).entries
     a_st = submatrix(m, s.indices, t.indices).entries
-    cross = _matmul_mod(_matmul_mod(a_ts, inv_ss.entries, m.p), a_st, m.p)
+    cross = _matmul_mod(a_ts, _solve(a_ss, a_st, m.p), m.p)
     return PrimeFieldMatrix(m.p, (a_tt - cross) % m.p)

@@ -28,13 +28,12 @@ import numpy as np
 from .bigraph import (
     BipartiteGraph,
     connected_components,
-    laplacian,
     laplacian_mod_p,
     reduced_laplacian,
 )
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
 from .gfp import corank_mod_p, is_prime
-from .intmat import IntegerMatrix, determinant, normalize_divisor_chain, smith_normal_form
+from .intmat import determinant, normalize_divisor_chain, smith_normal_form
 
 # Largest component, in vertices, whose exact Smith form is attempted.  At
 # alpha = 1, q = 0.5 one Smith form took 14-36 s at 200 vertices and up to
@@ -115,13 +114,17 @@ def sandpile_group(g: BipartiteGraph) -> GroupInvariants:
             f"a component of {largest} vertices exceeds the exact-Smith-form "
             f"guard ({SNF_VERTEX_GUARD}); use a smaller graph"
         )
-    full = laplacian(g).entries
     collected: list[int] = []
     for comp in comps:
         if len(comp) == 1:
             continue
-        keep = sorted(comp)[:-1]
-        diag = smith_normal_form(IntegerMatrix(full[np.ix_(keep, keep)]))
+        # Left members come first in sorted order, so the component's own
+        # graph numbers its vertices in the same order as ``g`` does.
+        members = sorted(comp)
+        left = [v for v in members if v < g.n_left]
+        right = [v - g.n_left for v in members if v >= g.n_left]
+        part = BipartiteGraph(len(left), len(right), g.biadjacency[np.ix_(left, right)])
+        diag = smith_normal_form(reduced_laplacian(part, part.n_vertices - 1))
         # A connected component has nonsingular reduced Laplacian, so the
         # Smith diagonal is all positive.
         if not all(d > 0 for d in diag):

@@ -88,6 +88,25 @@ def rank_by_minors(m: PrimeFieldMatrix) -> int:
     return 0
 
 
+def rank_by_row_reduction(rows: list[list[int]], p: int) -> int:
+    """Rank over Z/pZ by textbook row reduction on Python lists of ints."""
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
+    width = len(work[0]) if work else 0
+    for c in range(width):
+        pivot = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inv = pow(work[rank][c], p - 2, p)
+        for i in range(len(work)):
+            if i != rank and work[i][c]:
+                f = work[i][c] * inv % p
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
 def binom_pmf_fraction(n: int, alpha: Fraction, k: int) -> Fraction:
     return comb(n, k) * alpha**k * (1 - alpha) ** (n - k)
 

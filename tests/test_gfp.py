@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import is_prime_by_trial_division, random_uniform_matrix, rank_by_minors
+from oracles import (
+    det_by_cofactors,
+    is_prime_by_trial_division,
+    random_uniform_matrix,
+    rank_by_minors,
+    rank_by_row_reduction,
+)
 from sandpiles import (
     DimensionMismatchError,
     IndexSet,
@@ -21,7 +27,7 @@ from sandpiles import (
     schur_complement,
     submatrix,
 )
-from sandpiles.gfp import _eliminate, _matmul_mod, _rank_generic
+from sandpiles.gfp import _echelon, _matmul_mod
 
 
 def test_is_prime_small_cases():
@@ -163,7 +169,7 @@ def test_rank_against_minor_oracle_sweep():
         assert rank_mod_p(m) == rank_by_minors(m)
 
 
-def test_echelon_rank_matches_gauss_jordan_on_rank_deficient_matrices():
+def test_echelon_rank_matches_row_reduction_oracle_on_rank_deficient_matrices():
     # Products of random (rows x k) and (k x cols) factors have rank <= k;
     # a repeated row and a repeated column add dependent rows and columns.
     stream = SplitMix64(4242)
@@ -177,9 +183,9 @@ def test_echelon_rank_matches_gauss_jordan_on_rank_deficient_matrices():
             block = _matmul_mod(left, right, p)
             block = np.concatenate([block, block[:1]], axis=0)[:, [0, *range(cols)]]
             m = PrimeFieldMatrix(p, block)
-            gauss_jordan = len(_eliminate(m.entries.copy(), p))
-            assert gauss_jordan <= k
-            assert rank_mod_p(m) == gauss_jordan
+            oracle = rank_by_row_reduction(m.entries.tolist(), p)
+            assert oracle <= k
+            assert rank_mod_p(m) == oracle
 
 
 def test_gf2_bit_path_matches_generic_elimination():
@@ -188,7 +194,7 @@ def test_gf2_bit_path_matches_generic_elimination():
         rows = 1 + stream.next_below(8)
         cols = 1 + stream.next_below(8)
         m = random_uniform_matrix(stream, rows, cols, 2)
-        assert rank_mod_p(m) == _rank_generic(m)
+        assert rank_mod_p(m) == _echelon(m.entries.copy(), 2, cols, rows)
 
 
 def test_corank_is_min_dimension_minus_rank():
@@ -203,8 +209,8 @@ def test_corank_is_min_dimension_minus_rank():
 def test_inverse_round_trip():
     stream = SplitMix64(16180)
     found = 0
-    while found < 40:
-        p = (2, 3, 5, 7)[found % 4]
+    while found < 50:
+        p = (2, 3, 5, 7, 2**31 - 1)[found % 5]
         size = 1 + stream.next_below(5)
         m = random_uniform_matrix(stream, size, size, p)
         if rank_mod_p(m) < size:
@@ -259,6 +265,40 @@ def test_schur_complement_preserves_corank_sweep():
         except SingularBlockError:
             continue
         assert corank_mod_p(out) == corank_mod_p(m)
+        done += 1
+
+
+def test_schur_complement_matches_determinant_quotients():
+    # Entry (i, j) of the Schur complement is det(A[S+i, S+j]) / det(A[S, S]),
+    # with i and j in T appended last to the rows and columns of S.
+    stream = SplitMix64(1729)
+    done = 0
+    while done < 100:
+        p = (2, 3, 5, 7, 2**31 - 1)[done % 5]
+        size = 2 + stream.next_below(5)
+        m = random_uniform_matrix(stream, size, size, p)
+        picks = sorted({stream.next_below(size) for _ in range(1 + stream.next_below(size - 1))})
+        s = IndexSet(tuple(picks), size)
+        if len(s) == size:
+            continue
+        rows = m.entries.tolist()
+        det_ss = det_by_cofactors([[rows[a][b] for b in s.indices] for a in s.indices]) % p
+        if det_ss == 0:
+            with pytest.raises(SingularBlockError):
+                schur_complement(m, s)
+            continue
+        scale = pow(det_ss, -1, p)
+        t = s.complement().indices
+        expect = [
+            [
+                det_by_cofactors(
+                    [[rows[a][b] for b in (*s.indices, j)] for a in (*s.indices, i)]
+                ) * scale % p
+                for j in t
+            ]
+            for i in t
+        ]
+        assert schur_complement(m, s).entries.tolist() == expect
         done += 1
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ def test_guard_refuses_a_large_component_but_not_many_small_ones():
     assert g.n_vertices > guard
     inv = sandpile_group(g)
     assert inv.factors == (4,) * k and inv.order == 4**k
+
+
+def test_many_small_components_need_memory_per_component_not_per_graph():
+    # 500 disjoint K_{2,2}, N = 2000: a dense N x N Laplacian alone would be
+    # 32 MB, while each component needs only its own 3 x 3 reduced block.
+    k = 500
+    blocks = np.kron(np.eye(k, dtype=np.int64), np.ones((2, 2), dtype=np.int64))
+    g = BipartiteGraph(2 * k, 2 * k, blocks)
+    tracemalloc.start()
+    try:
+        inv = sandpile_group(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert inv.factors == (4,) * k
+    assert peak < 8 * 2**20
 
 
 def test_disconnected_union_of_complete_graphs():
