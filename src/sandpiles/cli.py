@@ -18,6 +18,7 @@ import json
 import sys
 
 from .bigraph import connected_components, load_graph
+from .errors import GuardExceededError
 from .groups import sandpile_group, spanning_tree_count
 from .harness import (
     EXPERIMENT_KINDS,
@@ -29,6 +30,11 @@ from .harness import (
 )
 from .theory import expected_excess_exact, expected_rank_asymptotic, rank_pmf_theoretical
 from . import verify as verify_mod
+
+# Largest n that ``predict`` computes.  At alpha = 1/4, p = 2 the exact rank
+# law took 0.4 / 4.5 s at n = 2000 / 5000 on a 2-core host.  The cost grows
+# about as n**2.7, so n = 10**4 takes ~30 s and n = 10**5 would take hours.
+PREDICT_N_GUARD = 10**4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,6 +100,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.n > PREDICT_N_GUARD:
+        raise GuardExceededError(
+            f"--n {args.n} exceeds the prediction guard ({PREDICT_N_GUARD}); use a smaller n"
+        )
     mean, regime = expected_rank_asymptotic(args.n, args.alpha, args.p)
     payload = {
         "schema": 1,

@@ -4,8 +4,10 @@ Matrices are stored as read-only numpy int64 arrays with every entry reduced
 to [0, p).  For p < 2**31 a single product of two residues fits in an int64,
 so elimination runs vectorised without ever leaving exact integer arithmetic.
 
-One forward-elimination loop, :func:`_echelon`, serves rank, inverse and
-Schur complement.  The rank of a matrix is its pivot count.  Solving
+One forward-elimination loop, :func:`_echelon`, serves rank, determinant,
+inverse and Schur complement.  The rank of a matrix is its pivot count, and
+the determinant of a square one is the product of its pivots, negated once
+per row swap.  Solving
 ``a @ x = b`` eliminates ``a`` inside ``[[a, b], [I, 0]]``, whose
 bottom-right block then holds ``-x``; the inverse is the solve against ``I``,
 and the Schur complement needs one solve and one matrix product.  Over GF(2)
@@ -207,8 +209,8 @@ def _rank_gf2(bits: np.ndarray) -> int:
     return rank
 
 
-def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> int:
-    """In-place forward elimination mod p; returns the number of pivots.
+def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> tuple[int, int]:
+    """In-place forward elimination mod p; returns (pivots, row swaps).
 
     Columns ``0 .. cols-1`` are eliminated in order.  Pivots are taken only
     from the first ``pivot_rows`` rows, first nonzero entry at or below the
@@ -216,9 +218,10 @@ def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> int:
     below a pivot, including rows past ``pivot_rows``, is cleared with it.
     Rows above the pivot are left alone and only the columns after the pivot
     column are updated, so entries left of the current column are stale:
-    readers use the columns from ``cols`` on, or just the pivot count.
+    readers use the columns from ``cols`` on, the pivot entries, or just the
+    counts.
     """
-    r = 0
+    r = swaps = 0
     for c in range(cols):
         if r == pivot_rows:
             break
@@ -228,6 +231,7 @@ def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> int:
         if hits[0]:
             pr = r + int(hits[0])
             a[[r, pr], c:] = a[[pr, r], c:]
+            swaps += 1
         # A swapped-down old row r is zero in column c, so the rows left to
         # clear are exactly r + hits[1:].
         below = r + hits[1:]
@@ -235,14 +239,14 @@ def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> int:
             factors = a[below, c] * pow(int(a[r, c]), -1, p) % p
             a[below, c + 1 :] = (a[below, c + 1 :] - np.outer(factors, a[r, c + 1 :])) % p
         r += 1
-    return r
+    return r, swaps
 
 
 def rank_mod_p(m: PrimeFieldMatrix) -> int:
     """Rank of ``m`` over Z/pZ."""
     if m.p == 2:
         return _rank_gf2(m.entries)
-    return _echelon(m.entries.copy(), m.p, m.cols, m.rows)
+    return _echelon(m.entries.copy(), m.p, m.cols, m.rows)[0]
 
 
 def corank_mod_p(m: PrimeFieldMatrix) -> int:
@@ -263,7 +267,7 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     w[:k, :k] = a
     w[:k, k:] = b
     w[k:, :k] = np.eye(k, dtype=np.int64)
-    rank = _echelon(w, p, k, k)
+    rank, _ = _echelon(w, p, k, k)
     if rank != k:
         raise SingularBlockError(f"matrix of rank {rank} < {k} is singular")
     return -w[k:, k:] % p
@@ -277,6 +281,18 @@ def invert_mod_p(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     if m.rows != m.cols:
         raise DimensionMismatchError(f"cannot invert non-square {m!r}")
     return PrimeFieldMatrix(m.p, _solve(m.entries, np.eye(m.rows, dtype=np.int64), m.p))
+
+
+def _det_mod_p(a: np.ndarray, p: int) -> int:
+    """Determinant mod p, in [0, p), of a square residue matrix ``a``."""
+    w = a.copy()
+    rank, swaps = _echelon(w, p, w.shape[1], w.shape[0])
+    if rank < w.shape[0]:
+        return 0
+    det = p - 1 if swaps % 2 else 1
+    for pivot in np.diagonal(w):
+        det = det * int(pivot) % p
+    return det
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

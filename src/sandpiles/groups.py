@@ -9,7 +9,7 @@ component).
 Two routes to the p-rank (the number of invariant factors divisible by p) are
 implemented and cross-checked in the tests:
 
-* exact Smith normal form of a reduced Laplacian (slow, any prime at once),
+* exact Smith normal form of a reduced Laplacian (any prime at once),
 * corank of the full Laplacian mod p minus the number of connected
   components (fast, one prime at a time).
 
@@ -33,12 +33,14 @@ from .bigraph import (
 )
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
 from .gfp import corank_mod_p, is_prime
-from .intmat import determinant, normalize_divisor_chain, smith_normal_form
+from .intmat import determinant, normalize_divisor_chain, smith_form_by_largest_factor
 
 # Largest component, in vertices, whose exact Smith form is attempted.  At
-# alpha = 1, q = 0.5 one Smith form took 14-36 s at 200 vertices and up to
-# 67 s at 210 on a 2-core host, and the cost grows steeply beyond.
-SNF_VERTEX_GUARD = 200
+# q = 0.5 on a 2-core host one Smith form took at most 1.1 s at 350 vertices
+# (alpha = 1 and 1/4).  The ``group`` command, whose Bareiss tree count then
+# dominates, took 44-46 s at alpha = 1; that count grows about as N**5, so
+# 400 vertices would take ~90 s.
+SNF_VERTEX_GUARD = 350
 
 
 @dataclass(frozen=True)
@@ -101,7 +103,8 @@ def sandpile_group(g: BipartiteGraph) -> GroupInvariants:
     """Invariant factors of the sandpile group of ``g``.
 
     Computed per connected component (reduced Laplacian dropping the last
-    vertex of the component, then Smith normal form) and combined with
+    vertex of the component, then its Smith normal form from the largest
+    invariant factor and a pivot loop modulo a small integer) and combined with
     gcd/lcm normalization, so disconnected graphs get the direct sum of their
     component groups without ever factoring a large integer.  Raises
     :class:`GuardExceededError` before any elimination when a component has
@@ -124,7 +127,7 @@ def sandpile_group(g: BipartiteGraph) -> GroupInvariants:
         left = [v for v in members if v < g.n_left]
         right = [v - g.n_left for v in members if v >= g.n_left]
         part = BipartiteGraph(len(left), len(right), g.biadjacency[np.ix_(left, right)])
-        diag = smith_normal_form(reduced_laplacian(part, part.n_vertices - 1))
+        diag = smith_form_by_largest_factor(reduced_laplacian(part, part.n_vertices - 1))
         # A connected component has nonsingular reduced Laplacian, so the
         # Smith diagonal is all positive.
         if not all(d > 0 for d in diag):

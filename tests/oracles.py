@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import numpy as np
 
@@ -73,6 +73,25 @@ def is_prime_by_trial_division(n: int) -> bool:
 
 def invariant_factors_by_minors(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(d for d in smith_diagonal_by_minors(rows) if d >= 2)
+
+
+def solution_denominator_by_fractions(rows: list[list[int]], b: list[int]) -> int:
+    """Least common denominator of the solution of ``rows @ x = b``.
+
+    Gauss-Jordan elimination over Fractions; the matrix must be nonsingular.
+    """
+    size = len(rows)
+    work = [[Fraction(v) for v in row] + [Fraction(rhs)] for row, rhs in zip(rows, b)]
+    for col in range(size):
+        piv = next(r for r in range(col, size) if work[r][col] != 0)
+        work[col], work[piv] = work[piv], work[col]
+        lead = work[col][col]
+        work[col] = [v / lead for v in work[col]]
+        for r in range(size):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
+    return lcm(*(row[size].denominator for row in work))
 
 
 def rank_by_minors(m: PrimeFieldMatrix) -> int:

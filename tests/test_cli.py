@@ -115,6 +115,14 @@ def test_predict_with_huge_prime_is_fast(capsys):
     assert json.loads(out)["p"] == 2305843009213693951
 
 
+def test_predict_refuses_n_over_the_guard(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "predict", "--n", "1000000", "--alpha", "0.25", "--p", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and out == ""
+    assert "guard" in err
+
+
 def test_prime_beyond_two_to_the_64_exits_two(capsys):
     p = str(2**64 + 13)
     code, _, err = run_cli(capsys, "predict", "--n", "10", "--alpha", "0.5", "--p", p)
@@ -208,7 +216,8 @@ def test_verify_passes(capsys):
     assert out.splitlines() == [
         "PASS schur-corank-preservation: 1000 instances over p in (2, 3, 5, 7), 0 corank mismatches",
         "PASS binomial-conditional-mean-identity: 3900 exact comparisons (n <= 40, 5 alphas), 0 mismatches",
-        "PASS smith-form-oracles: complete 2x3 / 2x2 graphs, diag(2,3), 60 random matrices vs gcd-of-minors",
+        "PASS smith-form-oracles: complete 2x3 / 2x2 graphs, diag(2,3), 60 random matrices vs gcd-of-minors, "
+        "4 seeded graphs (one disconnected) vs the plain Smith loop",
         "PASS gaussian-local-estimate-convergence: relative errors ['2.50e-03', '2.50e-04', '2.50e-05']",
         "4/4 checks passed",
     ]

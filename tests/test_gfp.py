@@ -27,7 +27,7 @@ from sandpiles import (
     schur_complement,
     submatrix,
 )
-from sandpiles.gfp import _echelon, _matmul_mod
+from sandpiles.gfp import _det_mod_p, _echelon, _matmul_mod
 
 
 def test_is_prime_small_cases():
@@ -194,7 +194,7 @@ def test_gf2_bit_path_matches_generic_elimination():
         rows = 1 + stream.next_below(8)
         cols = 1 + stream.next_below(8)
         m = random_uniform_matrix(stream, rows, cols, 2)
-        assert rank_mod_p(m) == _echelon(m.entries.copy(), 2, cols, rows)
+        assert rank_mod_p(m) == _echelon(m.entries.copy(), 2, cols, rows)[0]
 
 
 def test_corank_is_min_dimension_minus_rank():
@@ -266,6 +266,17 @@ def test_schur_complement_preserves_corank_sweep():
             continue
         assert corank_mod_p(out) == corank_mod_p(m)
         done += 1
+
+
+def test_determinant_mod_p_matches_cofactor_expansion():
+    # Entries from {0, 1} make singular matrices and row swaps common.
+    stream = SplitMix64(5150)
+    for trial in range(150):
+        p = (2, 3, 5, 7, 2**31 - 1)[trial % 5]
+        size = 1 + stream.next_below(6)
+        bound = 2 if trial % 3 == 0 else p
+        rows = [[stream.next_below(bound) for _ in range(size)] for _ in range(size)]
+        assert _det_mod_p(np.array(rows, dtype=np.int64), p) == det_by_cofactors(rows) % p
 
 
 def test_schur_complement_matches_determinant_quotients():

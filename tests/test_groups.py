@@ -28,6 +28,7 @@ from sandpiles import (
     spanning_tree_count,
 )
 from sandpiles import groups as groups_mod
+from sandpiles import intmat
 
 
 def complete_bipartite(a: int, b: int) -> BipartiteGraph:
@@ -134,6 +135,8 @@ def test_guard_refuses_a_large_component_but_not_many_small_ones():
     with pytest.raises(GuardExceededError):
         is_cyclic(star)
     assert time.perf_counter() - start < 2.0
+    # A component of exactly guard vertices is computed.
+    assert sandpile_group(complete_bipartite(1, guard - 1)).factors == ()
     # More vertices than the guard in all, but every component is a K_{2,2}.
     k = guard // 4 + 1
     blocks = np.kron(np.eye(k, dtype=np.int64), np.ones((2, 2), dtype=np.int64))
@@ -178,6 +181,41 @@ def test_disconnected_union_of_complete_graphs():
     via_full = GroupInvariants.from_snf_diagonal(diag)
     assert via_full.free_rank == 2  # one zero row per component
     assert tuple(f for f in via_full.factors) == (2, 2, 12)
+
+
+def test_sandpile_group_matches_the_plain_loop_on_seeded_graphs(monkeypatch):
+    moduli = []
+    loop = intmat._smith_diagonal
+
+    def spy(a, modulus):
+        if modulus:
+            moduli.append((modulus, a.dtype))
+        return loop(a, modulus)
+
+    monkeypatch.setattr(intmat, "_smith_diagonal", spy)
+    disconnected = reruns = 0
+    for i in range(60):
+        alpha = (0.25, 0.5, 1.0)[i % 3]
+        q = (0.3, 0.5)[i // 3 % 2]
+        # N = n + floor(alpha * n) runs from 5 up to ~200 at alpha = 1/4,
+        # and stays lower where the plain loop is slow.
+        n = 4 + i // 3 * {0.25: 8, 0.5: 4, 1.0: 3}[alpha]
+        g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=700 + i))
+        comps = connected_components(g)
+        disconnected += len(comps) > 1
+        plain = GroupInvariants.from_snf_diagonal(smith_normal_form(laplacian(g)))
+        assert sandpile_group(g).factors == plain.factors, (i, n, alpha, q)
+        # One right-hand side often gives c < s_N on alpha = 1/4 graphs, so
+        # the first modulus gcd(m, c) may miss a factor of s_(N-1) and the
+        # loop runs a second time.
+        with monkeypatch.context() as m:
+            m.setattr(intmat, "_RHS_COLUMNS", 1)
+            before = len(moduli)
+            assert sandpile_group(g).factors == plain.factors, (i, n, alpha, q)
+            reruns += len(moduli) - before - sum(len(comp) > 1 for comp in comps)
+    assert disconnected >= 5 and reruns >= 5
+    assert any(m == 1 for m, _ in moduli)
+    assert any(1 < m < 2**31 and dtype == np.int64 for m, dtype in moduli)
 
 
 def test_group_independent_of_dropped_vertex():
@@ -238,6 +276,6 @@ def test_spanning_tree_count_rejects_non_positive_determinant(monkeypatch):
 
 
 def test_sandpile_group_rejects_singular_component_block(monkeypatch):
-    monkeypatch.setattr(groups_mod, "smith_normal_form", lambda m: (1, 0))
+    monkeypatch.setattr(groups_mod, "smith_form_by_largest_factor", lambda m: (1, 0))
     with pytest.raises(RuntimeError, match="singular"):
         sandpile_group(complete_bipartite(2, 3))

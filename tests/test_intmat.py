@@ -7,14 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from oracles import det_by_cofactors, smith_diagonal_by_minors
+from oracles import det_by_cofactors, smith_diagonal_by_minors, solution_denominator_by_fractions
 from sandpiles import (
     IntegerMatrix,
     SplitMix64,
     determinant,
     normalize_divisor_chain,
+    smith_form_by_largest_factor,
     smith_normal_form,
 )
+from sandpiles import intmat
+from sandpiles.intmat import _LIFT_PRIMES, _solution_denominator
 
 
 def _random_entries(stream: SplitMix64, rows: int, cols: int, lo: int, hi: int):
@@ -115,6 +118,87 @@ def test_smith_form_diagonal_is_nonnegative_divisor_chain():
         for a, b in zip(diag, diag[1:]):
             assert b == 0 or (a != 0 and b % a == 0)
         assert diag == smith_diagonal_by_minors(m.to_lists())
+        assert smith_form_by_largest_factor(m) == diag
+
+
+def test_largest_factor_route_matches_minors_up_to_seven():
+    stream = SplitMix64(3003)
+    for trial in range(40):
+        size = 5 + trial % 3
+        entries = _random_entries(stream, size, size, -3, 3)
+        if trial % 4 == 0:
+            entries[-1] = entries[0][:]  # singular: runs the plain loop
+        got = smith_form_by_largest_factor(IntegerMatrix(entries))
+        assert got == smith_diagonal_by_minors(entries)
+
+
+def _hadamard(rows) -> int:
+    return math.isqrt(math.prod(sum(v * v for v in col) for col in zip(*rows))) + 1
+
+
+def test_solution_denominator_matches_fraction_solve():
+    # Small dense matrices keep Hadamard's bound close to the true sizes, so
+    # one lifting step fewer than the bound asks for gives a wrong c here.
+    stream = SplitMix64(6007)
+    checked = 0
+    while checked < 120:
+        size = 1 + stream.next_below(6)
+        rows = _random_entries(stream, size, size, -9, 9)
+        if det_by_cofactors(rows) == 0:
+            continue
+        width = 1 + checked % 2
+        b = _random_entries(stream, size, width, -(2**15), 2**15 - 1)
+        got = _solution_denominator(
+            np.array(rows, dtype=np.int64), np.array(b, dtype=np.int64), _hadamard(rows)
+        )
+        want = math.lcm(*(solution_denominator_by_fractions(rows, col) for col in zip(*b)))
+        assert got == want
+        checked += 1
+
+
+def test_lifting_prime_dividing_the_determinant_moves_to_the_next_prime():
+    p0, p1, p2 = _LIFT_PRIMES
+    b = np.array([[5], [-7], [3]], dtype=np.int64)
+    # det = 2 * p0: singular mod the first lifting prime only.
+    rows = [[p0, 1, 0], [0, 2, 1], [0, 0, 1]]
+    a = np.array(rows, dtype=np.int64)
+    assert _solution_denominator(a, b, _hadamard(rows)) == solution_denominator_by_fractions(
+        rows, b[:, 0].tolist()
+    )
+    assert smith_form_by_largest_factor(IntegerMatrix(rows)) == smith_normal_form(
+        IntegerMatrix(rows)
+    ) == (1, 1, 2 * p0)
+    # Every lifting prime divides det: no solve, the plain loop runs.
+    rows = [[p0, 0, 0], [0, p1, 0], [0, 0, p2]]
+    assert _solution_denominator(np.array(rows, dtype=np.int64), b, _hadamard(rows)) is None
+    assert smith_form_by_largest_factor(IntegerMatrix(rows)) == (1, 1, p0 * p1 * p2)
+    singular = IntegerMatrix([[2, 4, 6], [1, 2, 3], [0, 1, 5]])
+    assert smith_form_by_largest_factor(singular) == smith_normal_form(singular) == (1, 1, 0)
+
+
+def test_largest_factor_route_runs_moduli_over_two_to_the_31_on_python_ints(monkeypatch):
+    # Two copies of a block of determinant 2**32 + 1 give s_(N-1) = s_N =
+    # 2**32 + 1, so every modulus the loop can run under exceeds 2**31.
+    block = [[2**16, 1], [-1, 2**16]]
+    rows = [[*row, 0, 0] for row in block] + [[0, 0, *row] for row in block]
+    dtypes = []
+    loop = intmat._smith_diagonal
+
+    def spy(a, modulus):
+        if modulus:
+            dtypes.append(a.dtype)
+        return loop(a, modulus)
+
+    monkeypatch.setattr(intmat, "_smith_diagonal", spy)
+    assert smith_form_by_largest_factor(IntegerMatrix(rows)) == (1, 1, 2**32 + 1, 2**32 + 1)
+    assert dtypes and all(dtype == object for dtype in dtypes)
+
+
+def test_largest_factor_route_runs_the_plain_loop_outside_its_domain():
+    wide = IntegerMatrix([[2, 4, 6], [3, 9, 12]])
+    huge = IntegerMatrix([[2**40, 1], [1, 2**40 + 3]])
+    for m in (wide, huge, IntegerMatrix(np.zeros((0, 0), dtype=object))):
+        assert smith_form_by_largest_factor(m) == smith_normal_form(m)
 
 
 def test_smith_form_invariant_under_unimodular_moves():
