@@ -33,13 +33,21 @@ from .bigraph import (
 )
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
 from .gfp import corank_mod_p, is_prime
-from .intmat import determinant, normalize_divisor_chain, smith_form_by_largest_factor
+from .intmat import _bareiss, normalize_divisor_chain, smith_form_by_largest_factor
 
 # Largest component, in vertices, whose exact Smith form is attempted.  At
-# q = 0.5 on a 2-core host one Smith form took at most 1.1 s at 350 vertices
-# (alpha = 1 and 1/4).  The ``group`` command, whose Bareiss tree count then
-# dominates, took 44-46 s at alpha = 1; that count grows about as N**5, so
-# 400 vertices would take ~90 s.
+# q = 0.5 on a 2-core host one Smith form took at most 1.5 s up to 400
+# vertices; the tree count sets the cost of the ``group`` command:
+#
+#   vertices  alpha  seeds 1-3, Smith + trees      tree count alone
+#   350       1      26-28 s (in process)          25-28 s
+#   350       1/4    2.7-2.8 s (in process)        1.8-1.9 s
+#   400       1      58.5 / 60.1 / 61.1 s (CLI)    48-56 s
+#   400       1/4    6.5-6.9 s (CLI)               3.3-3.7 s
+#
+# The CLI rows time the whole command.  Bareiss on the whole reduced
+# Laplacian took 44-46 s at 350 vertices and alpha = 1.  Runs at 400
+# vertices and alpha = 1 reach 60 s, so the guard stays at 350.
 SNF_VERTEX_GUARD = 350
 
 
@@ -157,14 +165,30 @@ def is_cyclic(g: BipartiteGraph) -> bool:
 def spanning_tree_count(g: BipartiteGraph) -> int:
     """Number of spanning trees, via the matrix-tree theorem.
 
-    Exact Bareiss determinant of the reduced Laplacian dropping the last
-    vertex; raises :class:`DisconnectedError` when the graph is disconnected
-    (the determinant would be 0 and the sandpile group order would not equal
-    a tree count).
+    The determinant of the reduced Laplacian that drops the last vertex of
+    the smaller part.  The larger part's block of that Laplacian is the
+    diagonal of its degrees d_i, so Bareiss elimination of those rows would
+    leave the divisor P = prod(d_i) and the block P * S, where
+    S = D - B^T diag(1/d) B is the Schur complement on the rest of the
+    smaller part (degrees D, biadjacency B from the larger part).  That
+    block is built directly, one int64 B_d^T B_d per distinct degree d
+    weighted by P / d, and Bareiss goes on from it; exact, in Python ints,
+    and apart from the Smith route.  Raises :class:`DisconnectedError` when
+    the graph is disconnected (the determinant would be 0 and the sandpile
+    group order would not equal a tree count).
     """
     if len(connected_components(g)) != 1:
         raise DisconnectedError("spanning trees are defined for connected graphs only")
-    det = determinant(reduced_laplacian(g, g.n_vertices - 1))
+    # Rows are the larger part; the smaller part's last column is dropped.
+    larger = g.biadjacency if g.n_left >= g.n_right else g.biadjacency.T
+    degrees = larger.sum(axis=1)
+    kept = larger[:, :-1]
+    product = prod(degrees.tolist())
+    trailing = np.diag(kept.sum(axis=0)).astype(object) * product
+    for d in np.unique(degrees):
+        rows = kept[degrees == d]
+        trailing -= (rows.T @ rows).astype(object) * (product // int(d))
+    det = _bareiss(trailing, product)
     if det <= 0:
         raise RuntimeError(
             f"reduced Laplacian of a connected graph has determinant {det}, not > 0"

@@ -68,21 +68,26 @@ class IntegerMatrix:
     __slots__ = ("entries",)
 
     def __init__(self, entries) -> None:
-        raw = np.asarray(entries, dtype=object)
+        integral = isinstance(entries, np.ndarray) and entries.dtype.kind in "iu"
+        raw = entries if integral else np.asarray(entries, dtype=object)
         if raw.ndim != 2:
             raise InvalidShapeError(f"entries must be 2-d, got shape {raw.shape}")
-        arr = np.empty(raw.shape, dtype=object)
-        for i in range(raw.shape[0]):
-            row = []
-            for v in raw[i]:
-                if isinstance(v, np.integer):
-                    v = int(v)
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise InvalidShapeError(
-                        f"entries must be ints, got {type(v).__name__}"
-                    )
-                row.append(v)
-            arr[i] = row
+        if integral:
+            # Nothing to refuse in an integer array; one cast gives Python ints.
+            arr = raw.astype(object)
+        else:
+            arr = np.empty(raw.shape, dtype=object)
+            for i in range(raw.shape[0]):
+                row = []
+                for v in raw[i]:
+                    if isinstance(v, np.integer):
+                        v = int(v)
+                    if not isinstance(v, int) or isinstance(v, bool):
+                        raise InvalidShapeError(
+                            f"entries must be ints, got {type(v).__name__}"
+                        )
+                    row.append(v)
+                arr[i] = row
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
 
@@ -346,12 +351,22 @@ def determinant(m: IntegerMatrix) -> int:
     """
     if m.rows != m.cols:
         raise DimensionMismatchError(f"determinant needs a square matrix, got {m!r}")
-    n = m.rows
+    return _bareiss(np.array(m.entries, dtype=object), 1)
+
+
+def _bareiss(a: np.ndarray, prev: int) -> int:
+    """Finish a Bareiss elimination whose last pivot was ``prev``; eliminates in ``a``.
+
+    From ``prev`` = 1, ``a`` is any square object array and the result is its
+    determinant.  By Sylvester's identity, Bareiss on a matrix [[X, Y], [Z, W]]
+    holds ``det(X) * (W - Z X^-1 Y)`` once the pivots of a nonsingular leading
+    block X are done, and the divisor ``det(X)``; from that block and
+    ``prev`` = det(X) the result is the determinant of the whole matrix.
+    """
+    n = a.shape[0]
     if n == 0:
-        return 1
-    a = np.array(m.entries, dtype=object)
+        return prev
     sign = 1
-    prev = 1
     for r in range(n - 1):
         if a[r, r] == 0:
             hits = np.nonzero(a[r + 1 :, r])[0]

@@ -18,11 +18,18 @@ from math import gcd, sqrt
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, GraphModelParams, laplacian, sample_bipartite
+from .bigraph import (
+    BipartiteGraph,
+    GraphModelParams,
+    connected_components,
+    laplacian,
+    reduced_laplacian,
+    sample_bipartite,
+)
 from .errors import SingularBlockError
 from .gfp import IndexSet, PrimeFieldMatrix, corank_mod_p, schur_complement
 from .groups import GroupInvariants, sandpile_group, spanning_tree_count
-from .intmat import IntegerMatrix, smith_normal_form
+from .intmat import IntegerMatrix, determinant, smith_normal_form
 from .rng import SplitMix64
 from .theory import binom_pmf, BinomialSpec, conditional_mean_above, dml_estimate
 
@@ -207,7 +214,9 @@ def check_smith_form_oracles(seed: int = 991) -> CheckResult:
 
     ``sandpile_group`` takes the largest-invariant-factor route per
     component; on a few seeded graphs it must match the plain Smith loop
-    on the whole Laplacian.
+    on the whole Laplacian.  ``spanning_tree_count`` starts Bareiss from the
+    Schur complement of the larger part; on the connected ones it must match
+    Bareiss on the whole reduced Laplacian.
     """
     problems: list[str] = []
 
@@ -242,17 +251,25 @@ def check_smith_form_oracles(seed: int = 991) -> CheckResult:
             problems.append(f"Smith form {got} != minors oracle {want} on {entries}")
             break
 
+    connected = 0
     for i, g in enumerate(_seeded_graphs(seed)):
         got = sandpile_group(g).factors
         want = GroupInvariants.from_snf_diagonal(smith_normal_form(laplacian(g))).factors
         if got != want:
             problems.append(f"seeded graph {i}: sandpile_group {got} != plain Smith loop {want}")
+        if len(connected_components(g)) == 1:
+            connected += 1
+            trees = spanning_tree_count(g)
+            det = determinant(reduced_laplacian(g, g.n_vertices - 1))
+            if trees != det:
+                problems.append(f"seeded graph {i}: spanning_tree_count {trees} != Bareiss {det}")
     return CheckResult(
         name="smith-form-oracles",
         passed=not problems,
         detail="; ".join(problems) if problems else
         "complete 2x3 / 2x2 graphs, diag(2,3), 60 random matrices vs gcd-of-minors, "
-        "4 seeded graphs (one disconnected) vs the plain Smith loop",
+        "4 seeded graphs (one disconnected) vs the plain Smith loop, tree counts of the "
+        f"{connected} connected ones vs Bareiss on the whole reduced Laplacian",
     )
 
 

@@ -217,7 +217,8 @@ def test_verify_passes(capsys):
         "PASS schur-corank-preservation: 1000 instances over p in (2, 3, 5, 7), 0 corank mismatches",
         "PASS binomial-conditional-mean-identity: 3900 exact comparisons (n <= 40, 5 alphas), 0 mismatches",
         "PASS smith-form-oracles: complete 2x3 / 2x2 graphs, diag(2,3), 60 random matrices vs gcd-of-minors, "
-        "4 seeded graphs (one disconnected) vs the plain Smith loop",
+        "4 seeded graphs (one disconnected) vs the plain Smith loop, tree counts of the "
+        "3 connected ones vs Bareiss on the whole reduced Laplacian",
         "PASS gaussian-local-estimate-convergence: relative errors ['2.50e-03', '2.50e-04', '2.50e-05']",
         "4/4 checks passed",
     ]
@@ -230,7 +231,8 @@ def test_verify_fails_on_a_wrong_smith_form_or_tree_count(monkeypatch, capsys):
     assert check.passed is False and "diag(2,3) Smith form (1, 1) != (1, 6)" in check.detail
     assert "Smith form (1, 1) != minors oracle" in check.detail
     monkeypatch.setattr(verify, "spanning_tree_count", lambda _g: 11)
-    assert verify.check_smith_form_oracles().passed is False
+    check = verify.check_smith_form_oracles()
+    assert check.passed is False and "seeded graph 0: spanning_tree_count 11 != Bareiss" in check.detail
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1 and "FAIL smith-form-oracles: complete 2x3 tree counts det=11" in out
 

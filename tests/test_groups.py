@@ -18,6 +18,7 @@ from sandpiles import (
     IntegerMatrix,
     NotPrimeError,
     connected_components,
+    determinant,
     is_cyclic,
     laplacian,
     p_rank,
@@ -269,8 +270,34 @@ def test_spanning_tree_count_matches_enumeration():
         assert spanning_tree_count(g) == spanning_trees_by_enumeration(g)
 
 
+def test_spanning_tree_count_matches_bareiss_on_the_whole_reduced_laplacian():
+    checked = 0
+    for i in range(210):
+        alpha = (0.25, 0.5, 1.0)[i % 3]
+        q = (0.2, 0.5, 0.8)[i // 3 % 3]
+        # N = n + floor(alpha * n) grows to 115-120 in each alpha.
+        n_max = {0.25: 96, 0.5: 80, 1.0: 60}[alpha]
+        n = 4 + i // 3 * (n_max - 4) // 69
+        g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=1300 + i))
+        if len(connected_components(g)) != 1:
+            continue
+        checked += 1
+        want = determinant(reduced_laplacian(g, g.n_vertices - 1))
+        # Transposed, the left part is the smaller one and loses a vertex.
+        flipped = BipartiteGraph(g.n_right, g.n_left, g.biadjacency.T)
+        assert spanning_tree_count(g) == spanning_tree_count(flipped) == want, (i, n, alpha, q)
+    assert checked >= 150
+
+
+def test_spanning_tree_count_of_complete_bipartite_graphs():
+    # Stars (a or b = 1) leave an empty block after the Schur step.
+    for a in range(1, 7):
+        for b in range(1, 7):
+            assert spanning_tree_count(complete_bipartite(a, b)) == a ** (b - 1) * b ** (a - 1)
+
+
 def test_spanning_tree_count_rejects_non_positive_determinant(monkeypatch):
-    monkeypatch.setattr(groups_mod, "determinant", lambda m: 0)
+    monkeypatch.setattr(groups_mod, "_bareiss", lambda a, prev: 0)
     with pytest.raises(RuntimeError, match="determinant 0"):
         spanning_tree_count(complete_bipartite(2, 3))
 

@@ -50,6 +50,24 @@ def test_construction_rejects_bad_input():
     assert IntegerMatrix.from_rows([np.array([1, -2]), (3, 4)]).to_lists() == [[1, -2], [3, 4]]
 
 
+def test_integer_arrays_become_python_ints_and_other_arrays_are_checked():
+    for dtype in (np.int8, np.int64, np.uint64):
+        source = np.array([[1, 2], [3, 4]], dtype=dtype)
+        m = IntegerMatrix(source)
+        source[0, 0] = 9
+        assert m.to_lists() == [[1, 2], [3, 4]]
+        assert all(type(e) is int for e in m.entries.flat)
+        assert not m.entries.flags.writeable
+    assert IntegerMatrix(np.array([[2**63 - 1]])).entries[0, 0] * 2 == 2**64 - 2
+    for bad in ([[1.0, 2.0]], [[True, False]], [["1", "2"]]):
+        with pytest.raises(ValueError):
+            IntegerMatrix(bad)
+        with pytest.raises(ValueError):
+            IntegerMatrix(np.array(bad))
+    with pytest.raises(ValueError):
+        IntegerMatrix(np.arange(3))
+
+
 def test_entries_are_read_only():
     m = IntegerMatrix([[1, 2], [3, 4]])
     with pytest.raises(ValueError):
@@ -247,6 +265,34 @@ def test_determinant_against_cofactor_oracle():
         size = 1 + stream.next_below(5)
         rows = _random_entries(stream, size, size, -9, 9)
         assert determinant(IntegerMatrix(rows)) == det_by_cofactors(rows)
+
+
+def test_bareiss_goes_on_from_an_eliminated_leading_block():
+    # Sylvester: det(X) times the Schur complement of a leading k x k block X
+    # has the (k+1)-minors on X's rows and columns as entries; Bareiss from
+    # there, with divisor det(X), ends at the determinant of the whole matrix.
+    stream = SplitMix64(8128)
+    checked = 0
+    for _ in range(60):
+        size = 2 + stream.next_below(4)
+        k = 1 + stream.next_below(size - 1)
+        rows = _random_entries(stream, size, size, -6, 6)
+        lead = det_by_cofactors([r[:k] for r in rows[:k]])
+        if lead == 0:
+            continue
+        block = np.array(
+            [
+                [
+                    det_by_cofactors([r[:k] + [r[j]] for r in rows[:k] + [rows[i]]])
+                    for j in range(k, size)
+                ]
+                for i in range(k, size)
+            ],
+            dtype=object,
+        )
+        assert intmat._bareiss(block, lead) == det_by_cofactors(rows)
+        checked += 1
+    assert checked >= 40
 
 
 def test_determinant_of_big_entries_is_exact():
