@@ -10,15 +10,28 @@ the determinant of a square one is the product of its pivots, negated once
 per row swap.  Solving
 ``a @ x = b`` eliminates ``a`` inside ``[[a, b], [I, 0]]``, whose
 bottom-right block then holds ``-x``; the inverse is the solve against ``I``,
-and the Schur complement needs one solve and one matrix product.  Over GF(2)
-the rank alone has a faster path: rows packed into Python integers and
+and the Schur complement needs one solve and one matrix product.  A diagonal
+block is solved in closed form instead, as a row scaling by the inverted
+diagonal: the D1 block of the paper's reduced Laplacians is diagonal.  Over
+GF(2) the rank alone has a faster path: rows packed into Python integers and
 eliminated with xor.  The test-suite checks both rank paths against minor
 and row-reduction oracles, and the Schur complement against determinant
 quotients.
+
+Reduction mod p is lazy where int64 allows it.  Each elimination step
+reduces only the pivot column and the pivot row and subtracts
+``factor * pivot row`` (at most (p-1)**2 per entry) from the rows below
+without a ``%``, so after t steps an entry lies in (-t (p-1)**2, p).  While
+``(p-1) * (1 + steps * (p-1)) < 2**63``, with steps = min(columns
+eliminated, pivot rows), one ``%`` at the end is enough; above that bound
+every update is reduced.  Matrix products pick the cheapest exact type from
+``inner * (p-1)**2``: float64 through BLAS below 2**53, int64 below 2**63,
+Python ints beyond.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,20 +184,20 @@ class IndexSet:
         return len(self.indices)
 
 
+def _checked_indices(indices, bound: int, axis: str, m: PrimeFieldMatrix) -> np.ndarray:
+    # operator.index refuses floats, which numpy would truncate.
+    idx = np.fromiter(map(operator.index, indices), dtype=np.int64)
+    bad = np.flatnonzero((idx < 0) | (idx >= bound))
+    if bad.size:
+        raise DimensionMismatchError(f"{axis} index {idx[bad[0]]} out of range for {m!r}")
+    return idx
+
+
 def submatrix(m: PrimeFieldMatrix, rows, cols) -> PrimeFieldMatrix:
     """Extract the submatrix on the given row and column indices (in order)."""
-    rows = tuple(rows)
-    cols = tuple(cols)
-    for r in rows:
-        if not 0 <= r < m.rows:
-            raise DimensionMismatchError(f"row index {r} out of range for {m!r}")
-    for c in cols:
-        if not 0 <= c < m.cols:
-            raise DimensionMismatchError(f"column index {c} out of range for {m!r}")
-    block = m.entries[np.ix_(rows, cols)] if rows and cols else np.zeros(
-        (len(rows), len(cols)), dtype=np.int64
-    )
-    return PrimeFieldMatrix(m.p, block)
+    rows = _checked_indices(rows, m.rows, "row", m)
+    cols = _checked_indices(cols, m.cols, "column", m)
+    return PrimeFieldMatrix(m.p, m.entries[np.ix_(rows, cols)])
 
 
 def _pack_gf2_rows(bits: np.ndarray) -> list[int]:
@@ -213,32 +226,39 @@ def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> tuple[int, in
     """In-place forward elimination mod p; returns (pivots, row swaps).
 
     Columns ``0 .. cols-1`` are eliminated in order.  Pivots are taken only
-    from the first ``pivot_rows`` rows, first nonzero entry at or below the
-    current row, so every result is bit-for-bit reproducible.  Every row
-    below a pivot, including rows past ``pivot_rows``, is cleared with it.
-    Rows above the pivot are left alone and only the columns after the pivot
-    column are updated, so entries left of the current column are stale:
-    readers use the columns from ``cols`` on, the pivot entries, or just the
-    counts.
+    from the first ``pivot_rows`` rows, first nonzero entry mod p at or
+    below the current row, so every result is bit-for-bit reproducible.
+    Every row below a pivot, including rows past ``pivot_rows``, is cleared
+    with it.  Rows above the pivot are left alone and only the columns after
+    the pivot column are updated, so entries left of the current column are
+    stale: readers use the columns from ``cols`` on, the pivot entries, or
+    just the counts.  ``a`` must hold residues in [0, p); during the loop
+    the rows below the pivot may hold unreduced values (the lazy bound in the
+    module docstring), and on return every entry is reduced to [0, p) again.
     """
+    lazy = (p - 1) * (1 + min(cols, pivot_rows) * (p - 1)) < 2**63
     r = swaps = 0
     for c in range(cols):
         if r == pivot_rows:
             break
-        hits = np.nonzero(a[r:, c])[0]
+        col = a[r:, c] % p
+        hits = np.nonzero(col)[0]
         if hits.size == 0 or hits[0] >= pivot_rows - r:
             continue
         if hits[0]:
             pr = r + int(hits[0])
             a[[r, pr], c:] = a[[pr, r], c:]
             swaps += 1
+        a[r, c:] %= p
         # A swapped-down old row r is zero in column c, so the rows left to
         # clear are exactly r + hits[1:].
         below = r + hits[1:]
         if below.size:
-            factors = a[below, c] * pow(int(a[r, c]), -1, p) % p
-            a[below, c + 1 :] = (a[below, c + 1 :] - np.outer(factors, a[r, c + 1 :])) % p
+            factors = col[hits[1:]] * pow(int(a[r, c]), -1, p) % p
+            update = a[below, c + 1 :] - np.outer(factors, a[r, c + 1 :])
+            a[below, c + 1 :] = update if lazy else update % p
         r += 1
+    a %= p
     return r, swaps
 
 
@@ -252,6 +272,10 @@ def rank_mod_p(m: PrimeFieldMatrix) -> int:
 def corank_mod_p(m: PrimeFieldMatrix) -> int:
     """min(rows, cols) minus the rank; for square matrices the nullity."""
     return min(m.rows, m.cols) - rank_mod_p(m)
+
+
+def _singular(rank: int, k: int) -> SingularBlockError:
+    return SingularBlockError(f"matrix of rank {rank} < {k} is singular")
 
 
 def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -269,7 +293,7 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     w[k:, :k] = np.eye(k, dtype=np.int64)
     rank, _ = _echelon(w, p, k, k)
     if rank != k:
-        raise SingularBlockError(f"matrix of rank {rank} < {k} is singular")
+        raise _singular(rank, k)
     return -w[k:, k:] % p
 
 
@@ -296,16 +320,18 @@ def _det_mod_p(a: np.ndarray, p: int) -> int:
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact ``(a @ b) % p`` for residue matrices.
+    """Exact ``(a @ b) % p`` for residue matrices, as int64.
 
-    int64 accumulators hold k products of size < p**2, so the fast path is
-    valid only while k * (p-1)**2 < 2**63; beyond that we compute with Python
-    ints (numpy object dtype), which never overflow.
+    Each entry of the product is a sum of ``inner`` products below
+    (p-1)**2.  Below 2**53 every partial sum is an integer that float64
+    holds exactly, so the product runs through BLAS in float64; below 2**63
+    it runs in int64 (numpy's integer matmul, no BLAS); beyond that in
+    Python ints (numpy object dtype), which never overflow.
     """
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if inner * (p - 1) ** 2 < 2**63:
+    bound = a.shape[1] * (p - 1) ** 2
+    if bound < 2**53:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    if bound < 2**63:
         return (a @ b) % p
     prod = a.astype(object) @ b.astype(object)
     return (prod % p).astype(np.int64)
@@ -317,10 +343,11 @@ def schur_complement(m: PrimeFieldMatrix, s: IndexSet) -> PrimeFieldMatrix:
     With T the complement of S, the result is
     ``A[T,T] - A[T,S] @ inverse(A[S,S]) @ A[S,T]``, a |T| x |T| matrix over the
     same field; ``inverse(A[S,S]) @ A[S,T]`` comes from one elimination of
-    ``A[S,S]``, and no inverse is formed.  When ``A[S,S]`` is invertible,
-    block elimination shows the complement has the same corank as ``m`` --
-    this is what makes it useful for collapsing a large matrix onto a small
-    interesting block.
+    ``A[S,S]``, and no inverse is formed.  A diagonal ``A[S,S]`` needs no
+    elimination: the product is the row scaling ``inverse(diagonal) *
+    A[S,T]``.  When ``A[S,S]`` is invertible, block elimination shows the
+    complement has the same corank as ``m`` -- this is what makes it useful
+    for collapsing a large matrix onto a small interesting block.
 
     Raises :class:`SingularBlockError` if ``A[S,S]`` is singular and
     :class:`DimensionMismatchError` if ``m`` is not square of size
@@ -339,5 +366,14 @@ def schur_complement(m: PrimeFieldMatrix, s: IndexSet) -> PrimeFieldMatrix:
     a_tt = submatrix(m, t.indices, t.indices).entries
     a_ts = submatrix(m, t.indices, s.indices).entries
     a_st = submatrix(m, s.indices, t.indices).entries
-    cross = _matmul_mod(a_ts, _solve(a_ss, a_st, m.p), m.p)
+    diag = np.diagonal(a_ss)
+    if np.count_nonzero(a_ss) == np.count_nonzero(diag):
+        rank = np.count_nonzero(diag)
+        if rank < len(s):
+            raise _singular(rank, len(s))
+        dinv = np.array([pow(int(d), -1, m.p) for d in diag], dtype=np.int64)
+        x = dinv[:, None] * a_st % m.p
+    else:
+        x = _solve(a_ss, a_st, m.p)
+    cross = _matmul_mod(a_ts, x, m.p)
     return PrimeFieldMatrix(m.p, (a_tt - cross) % m.p)

@@ -27,7 +27,37 @@ from sandpiles import (
     schur_complement,
     submatrix,
 )
-from sandpiles.gfp import _det_mod_p, _echelon, _matmul_mod
+from sandpiles.gfp import _det_mod_p, _echelon, _matmul_mod, _solve
+from sandpiles.reduction import build_M
+
+# At n = 32 the lazy-reduction bound (p-1) * (1 + n (p-1)) < 2**63 falls
+# between these two consecutive primes: the first reduces lazily, the
+# second reduces every update.
+LAZY_N = 32
+LAZY_PRIME, EAGER_PRIME = 536870909, 536870923
+
+
+def _lazy(p: int, steps: int) -> bool:
+    return (p - 1) * (1 + steps * (p - 1)) < 2**63
+
+
+def _python_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a.astype(object) @ b.astype(object)
+
+
+def _arrowhead(stream: SplitMix64, n: int, p: int) -> np.ndarray:
+    """Diagonal plus a dense last row and column; some diagonal entries zero.
+
+    Cofactor expansion along the first row stays polynomial on these, and
+    elimination piles every update of the last row into its last entry.
+    """
+    a = np.zeros((n, n), dtype=np.int64)
+    for i in range(n - 1):
+        a[i, i] = 0 if stream.next_below(6) == 0 else stream.next_below(p)
+        a[i, n - 1] = stream.next_below(p)
+        a[n - 1, i] = p - 1 - stream.next_below(4)
+    a[n - 1, n - 1] = stream.next_below(p)
+    return a
 
 
 def test_is_prime_small_cases():
@@ -144,8 +174,22 @@ def test_submatrix_selects_rows_and_columns():
     sub = submatrix(m, (0, 2), (1,))
     assert sub.entries.tolist() == [[2], [1]]
     assert submatrix(m, (), (0, 1)).entries.shape == (0, 2)
+    assert submatrix(m, (1,), ()).entries.shape == (1, 0)
+    assert submatrix(m, range(1, 3), [2, 0]).entries.tolist() == [[6, 4], [2, 0]]
     with pytest.raises(DimensionMismatchError):
         submatrix(m, (3,), (1,))
+
+
+def test_submatrix_names_the_first_bad_index():
+    m = PrimeFieldMatrix(7, [[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(DimensionMismatchError, match=r"^row index 5 out of range for "):
+        submatrix(m, (0, 5, -1), (1,))
+    with pytest.raises(DimensionMismatchError, match=r"^row index -1 out of range for "):
+        submatrix(m, (-1, 7), (1,))
+    with pytest.raises(DimensionMismatchError, match=r"^column index 3 out of range for "):
+        submatrix(m, (0,), (0, 3, 4))
+    with pytest.raises(TypeError):
+        submatrix(m, (0.5,), (1,))
 
 
 def test_rank_known_cases():
@@ -186,6 +230,62 @@ def test_echelon_rank_matches_row_reduction_oracle_on_rank_deficient_matrices():
             oracle = rank_by_row_reduction(m.entries.tolist(), p)
             assert oracle <= k
             assert rank_mod_p(m) == oracle
+
+
+def test_lazy_reduction_is_exact_at_the_worst_growth_on_both_sides_of_the_bound():
+    assert _lazy(LAZY_PRIME, LAZY_N) and not _lazy(EAGER_PRIME, LAZY_N)
+    assert not any(is_prime(x) for x in range(LAZY_PRIME + 1, EAGER_PRIME))
+    # Ones on the diagonal and p-1 along the last row and column: each of
+    # the n steps subtracts exactly (p-1)**2 from the corner, which ends at
+    # 1 - n (p-1)**2.  Without a reduction that overflows int64 at the
+    # eager prime.
+    assert LAZY_N * (EAGER_PRIME - 1) ** 2 > 2**63 + EAGER_PRIME
+    for p in (LAZY_PRIME, EAGER_PRIME):
+        a = np.eye(LAZY_N + 1, dtype=np.int64)
+        a[LAZY_N, :LAZY_N] = a[:LAZY_N, LAZY_N] = p - 1
+        assert _echelon(a, p, LAZY_N, LAZY_N) == (LAZY_N, 0)
+        assert a[LAZY_N, LAZY_N] == (1 - LAZY_N) % p
+        assert a.min() >= 0 and a.max() < p
+
+
+def test_rank_on_both_sides_of_the_lazy_bound_matches_row_reduction():
+    stream = SplitMix64(8128)
+    for p in (LAZY_PRIME, EAGER_PRIME):
+        for trial in range(8):
+            if trial % 2:
+                m = PrimeFieldMatrix(p, _arrowhead(stream, LAZY_N, p))
+            else:
+                k = 1 + stream.next_below(LAZY_N)
+                left = random_uniform_matrix(stream, LAZY_N, k, p).entries
+                right = random_uniform_matrix(stream, k, LAZY_N, p).entries
+                m = PrimeFieldMatrix(p, (_python_matmul(left, right) % p).astype(np.int64))
+            assert rank_mod_p(m) == rank_by_row_reduction(m.entries.tolist(), p)
+
+
+def test_determinant_on_both_sides_of_the_lazy_bound_matches_cofactors():
+    stream = SplitMix64(496)
+    swapped = 0
+    for p in (LAZY_PRIME, EAGER_PRIME):
+        for _ in range(10):
+            a = _arrowhead(stream, LAZY_N, p)
+            swapped += not np.diagonal(a)[:-1].all()
+            assert _det_mod_p(a, p) == det_by_cofactors(a.tolist()) % p
+        worst = np.eye(LAZY_N, dtype=np.int64)
+        worst[-1, :-1] = worst[:-1, -1] = p - 1
+        assert _det_mod_p(worst, p) == det_by_cofactors(worst.tolist()) % p
+    assert swapped >= 5
+
+
+def test_inverse_round_trip_with_lazy_reduction_on_and_off():
+    # 2**26 - 5 is in the range intmat's p-adic lifting uses.
+    stream = SplitMix64(6174)
+    for p, lazy in ((2**26 - 5, True), (2**31 - 1, False)):
+        size = 40
+        assert _lazy(p, size) == lazy
+        m = random_uniform_matrix(stream, size, size, p)
+        inv = invert_mod_p(m).entries
+        for prod in (_python_matmul(m.entries, inv), _python_matmul(inv, m.entries)):
+            assert np.array_equal(prod % p, np.eye(size, dtype=np.int64))
 
 
 def test_gf2_bit_path_matches_generic_elimination():
@@ -242,6 +342,24 @@ def test_matmul_large_prime_uses_exact_arithmetic():
     assert got.dtype == np.int64
 
 
+def test_matmul_is_exact_on_both_sides_of_the_float64_and_int64_bounds():
+    # inner * (p-1)**2 crosses 2**53 at p = 2**25 - 39 and 2**63 at
+    # p = 2**30 - 35 between inner = 8 and inner = 9.  Entries near p - 1
+    # make the sums reach past each bound.
+    stream = SplitMix64(2718)
+    for p, bound in ((2**25 - 39, 2**53), (2**30 - 35, 2**63)):
+        assert is_prime(p)
+        for inner in (8, 9):
+            assert (inner * (p - 1) ** 2 < bound) == (inner == 8)
+            a = np.array([[p - 1 - stream.next_below(8) for _ in range(inner)] for _ in range(3)])
+            b = np.array([[p - 1 - stream.next_below(8) for _ in range(4)] for _ in range(inner)])
+            got = _matmul_mod(a, b, p)
+            assert got.dtype == np.int64
+            assert got.tolist() == (_python_matmul(a, b) % p).tolist()
+    empty = _matmul_mod(np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64), 3)
+    assert empty.dtype == np.int64 and empty.tolist() == [[0] * 3] * 2
+
+
 def test_schur_complement_hand_example():
     # m = [[2, 1], [1, 1]] over Z/5Z, eliminating the first variable:
     # 1 - 1 * inv(2) * 1 = 1 - 3 = -2 = 3 (mod 5).
@@ -279,11 +397,42 @@ def test_determinant_mod_p_matches_cofactor_expansion():
         assert _det_mod_p(np.array(rows, dtype=np.int64), p) == det_by_cofactors(rows) % p
 
 
-def test_schur_complement_matches_determinant_quotients():
+def _check_schur_by_determinant_quotients(m: PrimeFieldMatrix, s: IndexSet) -> bool:
+    """Whether A[S,S] is invertible; asserts the complement or the error."""
     # Entry (i, j) of the Schur complement is det(A[S+i, S+j]) / det(A[S, S]),
     # with i and j in T appended last to the rows and columns of S.
+    p = m.p
+    rows = m.entries.tolist()
+    block = [[rows[a][b] for b in s.indices] for a in s.indices]
+    det_ss = det_by_cofactors(block) % p
+    if det_ss == 0:
+        rank = rank_by_row_reduction(block, p)
+        message = f"matrix of rank {rank} < {len(s)} is singular"
+        with pytest.raises(SingularBlockError, match=f"^{message}$"):
+            schur_complement(m, s)
+        return False
+    scale = pow(det_ss, -1, p)
+    t = s.complement().indices
+    expect = [
+        [
+            det_by_cofactors(
+                [[rows[a][b] for b in (*s.indices, j)] for a in (*s.indices, i)]
+            ) * scale % p
+            for j in t
+        ]
+        for i in t
+    ]
+    assert schur_complement(m, s).entries.tolist() == expect
+    return True
+
+
+def test_schur_complement_matches_determinant_quotients():
+    # Each draw is checked as it is and with the off-diagonal entries of
+    # A[S,S] zeroed, which takes the closed-form diagonal solve; every other
+    # diagonal variant also gets a zero on its diagonal.
     stream = SplitMix64(1729)
     done = 0
+    diagonal = {True: 0, False: 0}
     while done < 100:
         p = (2, 3, 5, 7, 2**31 - 1)[done % 5]
         size = 2 + stream.next_below(5)
@@ -292,25 +441,33 @@ def test_schur_complement_matches_determinant_quotients():
         s = IndexSet(tuple(picks), size)
         if len(s) == size:
             continue
-        rows = m.entries.tolist()
-        det_ss = det_by_cofactors([[rows[a][b] for b in s.indices] for a in s.indices]) % p
-        if det_ss == 0:
-            with pytest.raises(SingularBlockError):
-                schur_complement(m, s)
-            continue
-        scale = pow(det_ss, -1, p)
-        t = s.complement().indices
-        expect = [
-            [
-                det_by_cofactors(
-                    [[rows[a][b] for b in (*s.indices, j)] for a in (*s.indices, i)]
-                ) * scale % p
-                for j in t
-            ]
-            for i in t
-        ]
-        assert schur_complement(m, s).entries.tolist() == expect
-        done += 1
+        entries = m.entries.copy()
+        block = entries[np.ix_(picks, picks)]
+        entries[np.ix_(picks, picks)] = np.diag(np.diagonal(block))
+        if sum(diagonal.values()) % 2:
+            entries[picks[-1], picks[-1]] = 0
+        invertible = _check_schur_by_determinant_quotients(PrimeFieldMatrix(p, entries), s)
+        diagonal[invertible] += 1
+        if _check_schur_by_determinant_quotients(m, s):
+            done += 1
+    assert min(diagonal.values()) >= 40
+
+
+def test_schur_complement_on_build_M_matches_the_eliminating_solve():
+    # corank_pipeline's block: the nonzero diagonal of the D1 block, which
+    # the closed form solves; _solve eliminates the same block.
+    for p in (3, 5, 7):
+        for seed in range(4):
+            m = build_M(80, 0.25, 0.5, p, 310 + seed)
+            a = m.matrix.entries
+            picks = np.nonzero(np.diagonal(a)[: m.split])[0]
+            rest = np.setdiff1d(np.arange(m.dim), picks)
+            a_ss = a[np.ix_(picks, picks)]
+            assert np.count_nonzero(a_ss - np.diag(np.diagonal(a_ss))) == 0
+            x = _solve(a_ss, a[np.ix_(picks, rest)], p)
+            expect = (a[np.ix_(rest, rest)] - _python_matmul(a[np.ix_(rest, picks)], x)) % p
+            out = schur_complement(m.matrix, IndexSet(tuple(picks), m.dim))
+            assert out.entries.tolist() == expect.tolist()
 
 
 def test_schur_complement_empty_and_full_selection():

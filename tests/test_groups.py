@@ -245,6 +245,27 @@ def test_p_rank_equals_factor_multiplicity_sweep():
             assert p_rank(g, p) == inv.p_multiplicity(p)
 
 
+def test_p_rank_equals_factor_multiplicity_at_scale():
+    # N = 150-250, where elimination runs for hundreds of steps.  At
+    # alpha = 1/8 the 5- and 7-ranks are large too.
+    totals = {3: 0, 5: 0, 7: 0}
+    for i, (alpha, n) in enumerate(
+        [(0.25, 120), (0.25, 200), (0.125, 140), (0.125, 210), (0.5, 100), (0.5, 160)]
+    ):
+        seed = 900 + i
+        g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=0.5, seed=seed))
+        while len(connected_components(g)) != 1:
+            seed += 1000
+            g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=0.5, seed=seed))
+        assert 150 <= g.n_vertices <= 250
+        inv = sandpile_group(g)
+        for p in totals:
+            rank = p_rank(g, p)
+            assert rank == inv.p_multiplicity(p), (alpha, n, seed, p)
+            totals[p] += rank
+    assert min(totals.values()) >= 10
+
+
 def test_p_rank_rejects_non_prime():
     g = complete_bipartite(2, 2)
     with pytest.raises(NotPrimeError):
