@@ -22,8 +22,8 @@ from .errors import GuardExceededError
 from .groups import sandpile_group, spanning_tree_count
 from .harness import (
     EXPERIMENT_KINDS,
+    SWEEP_KINDS,
     ExperimentConfig,
-    ExperimentResult,
     run_experiment,
     write_result_json,
     write_trials_csv,
@@ -82,15 +82,15 @@ def _cmd_simulate(args) -> int:
         master_seed=args.seed,
         output_path=args.out,
     )
+    if args.csv is not None and cfg.kind in SWEEP_KINDS:
+        print(
+            f"--csv is not available for kind {cfg.kind!r} "
+            "(no single per-trial series)",
+            file=sys.stderr,
+        )
+        return 2
     result = run_experiment(cfg)
     if args.csv is not None:
-        if not isinstance(result, ExperimentResult):
-            print(
-                f"--csv is not available for kind {cfg.kind!r} "
-                "(no single per-trial series)",
-                file=sys.stderr,
-            )
-            return 2
         write_trials_csv(result, args.csv)
     if args.out is not None:
         write_result_json(result, args.out)

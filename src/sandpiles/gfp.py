@@ -10,7 +10,9 @@ the determinant of a square one is the product of its pivots, negated once
 per row swap.  Solving
 ``a @ x = b`` eliminates ``a`` inside ``[[a, b], [I, 0]]``, whose
 bottom-right block then holds ``-x``; the inverse is the solve against ``I``,
-and the Schur complement needs one solve and one matrix product.  A diagonal
+and the Schur complement needs one solve and one matrix product.  The Schur
+complement takes the eliminated indices as plain integers, in any order, and
+cuts its four blocks from the residue array with ``np.ix_``.  A diagonal
 block is solved in closed form instead, as a row scaling by the inverted
 diagonal: the D1 block of the paper's reduced Laplacians is diagonal.  Over
 GF(2) the rank alone has a faster path: rows packed into Python integers and
@@ -32,7 +34,6 @@ Python ints beyond.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,42 +147,6 @@ class PrimeFieldMatrix:
         return "\n".join(
             " ".join(f"{int(e):>{width}}" for e in row) for row in self.entries
         )
-
-
-@dataclass(frozen=True)
-class IndexSet:
-    """A strictly increasing tuple of row/column indices below a fixed bound.
-
-    Used to name the block eliminated by a Schur complement; the complementary
-    indices (the block that survives) are available via :meth:`complement`.
-    """
-
-    indices: tuple[int, ...]
-    bound: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        if self.bound < 0:
-            raise InvalidShapeError(f"bound must be >= 0, got {self.bound}")
-        prev = -1
-        for i in self.indices:
-            if i <= prev:
-                raise InvalidShapeError(
-                    f"indices must be strictly increasing, got {self.indices}"
-                )
-            prev = i
-        if self.indices and self.indices[-1] >= self.bound:
-            raise InvalidShapeError(
-                f"index {self.indices[-1]} out of range for bound {self.bound}"
-            )
-
-    def complement(self) -> "IndexSet":
-        inside = set(self.indices)
-        rest = tuple(i for i in range(self.bound) if i not in inside)
-        return IndexSet(rest, self.bound)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def _checked_indices(indices, bound: int, axis: str, m: PrimeFieldMatrix) -> np.ndarray:
@@ -337,40 +302,45 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (prod % p).astype(np.int64)
 
 
-def schur_complement(m: PrimeFieldMatrix, s: IndexSet) -> PrimeFieldMatrix:
-    """Schur complement of ``m`` with respect to the index block ``s``.
+def schur_complement(m: PrimeFieldMatrix, eliminate) -> PrimeFieldMatrix:
+    """Schur complement of ``m`` after eliminating the indices ``eliminate``.
 
-    With T the complement of S, the result is
-    ``A[T,T] - A[T,S] @ inverse(A[S,S]) @ A[S,T]``, a |T| x |T| matrix over the
-    same field; ``inverse(A[S,S]) @ A[S,T]`` comes from one elimination of
-    ``A[S,S]``, and no inverse is formed.  A diagonal ``A[S,S]`` needs no
-    elimination: the product is the row scaling ``inverse(diagonal) *
-    A[S,T]``.  When ``A[S,S]`` is invertible, block elimination shows the
-    complement has the same corank as ``m`` -- this is what makes it useful
-    for collapsing a large matrix onto a small interesting block.
+    ``eliminate`` is any sequence of distinct integers in [0, m.rows), in
+    any order: with S those indices and T the rest in increasing order, the
+    result is ``A[T,T] - A[T,S] @ inverse(A[S,S]) @ A[S,T]``, a |T| x |T|
+    matrix over the same field, and reordering S does not change it.  The
+    four blocks are cut straight from ``m.entries``, and
+    ``inverse(A[S,S]) @ A[S,T]`` comes from one elimination of ``A[S,S]``,
+    with no inverse formed.  A diagonal ``A[S,S]`` needs no elimination: the
+    product is the row scaling ``inverse(diagonal) * A[S,T]``.  When
+    ``A[S,S]`` is invertible, block elimination shows the complement has the
+    same corank as ``m`` -- this is what makes it useful for collapsing a
+    large matrix onto a small interesting block.  An empty ``eliminate``
+    returns ``m`` itself.
 
-    Raises :class:`SingularBlockError` if ``A[S,S]`` is singular and
-    :class:`DimensionMismatchError` if ``m`` is not square of size
-    ``s.bound``.
+    Raises :class:`DimensionMismatchError` if ``m`` is not square or an
+    index is out of range, :class:`InvalidShapeError` if an index repeats,
+    :class:`TypeError` for a non-integer index, and
+    :class:`SingularBlockError` if ``A[S,S]`` is singular.
     """
     if m.rows != m.cols:
         raise DimensionMismatchError(f"Schur complement needs a square matrix, got {m!r}")
-    if s.bound != m.rows:
-        raise DimensionMismatchError(
-            f"index bound {s.bound} does not match matrix size {m.rows}"
-        )
-    t = s.complement()
-    if len(s) == 0:
-        return PrimeFieldMatrix(m.p, m.entries)
-    a_ss = submatrix(m, s.indices, s.indices).entries
-    a_tt = submatrix(m, t.indices, t.indices).entries
-    a_ts = submatrix(m, t.indices, s.indices).entries
-    a_st = submatrix(m, s.indices, t.indices).entries
+    s = _checked_indices(eliminate, m.rows, "eliminated", m)
+    if s.size == 0:
+        return m
+    keep = np.ones(m.rows, dtype=bool)
+    keep[s] = False
+    t = np.flatnonzero(keep)
+    if s.size + t.size != m.rows:
+        raise InvalidShapeError(f"eliminated indices must be distinct, got {s.tolist()}")
+    a = m.entries
+    a_ss, a_st = a[np.ix_(s, s)], a[np.ix_(s, t)]
+    a_ts, a_tt = a[np.ix_(t, s)], a[np.ix_(t, t)]
     diag = np.diagonal(a_ss)
     if np.count_nonzero(a_ss) == np.count_nonzero(diag):
         rank = np.count_nonzero(diag)
-        if rank < len(s):
-            raise _singular(rank, len(s))
+        if rank < s.size:
+            raise _singular(rank, s.size)
         dinv = np.array([pow(int(d), -1, m.p) for d in diag], dtype=np.int64)
         x = dinv[:, None] * a_st % m.p
     else:

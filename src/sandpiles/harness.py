@@ -36,7 +36,9 @@ from .reduction import build_M, corank_pipeline
 from .rng import derive_seed
 from .theory import RankDistribution, rank_pmf_theoretical
 
-EXPERIMENT_KINDS = ("prank", "cyclicity", "m-corank", "q-sweep", "balanced-scaling")
+# The kinds whose result is a SweepResult: one row per swept value, with no
+# single per-trial series.
+SWEEP_KINDS = ("q-sweep", "balanced-scaling")
 
 QSWEEP_QS = (0.2, 0.35, 0.5, 0.65, 0.8)
 BALANCED_NS = (50, 100, 200)
@@ -365,6 +367,7 @@ _RUNNERS = {
     "q-sweep": run_qsweep,
     "balanced-scaling": run_balanced_scaling,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult | SweepResult:

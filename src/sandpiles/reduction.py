@@ -42,7 +42,7 @@ from .bigraph import (
     sample_bipartite_from_stream,
 )
 from .errors import InvalidParamsError, TooSmallError
-from .gfp import IndexSet, PrimeFieldMatrix, corank_mod_p, schur_complement, submatrix
+from .gfp import PrimeFieldMatrix, corank_mod_p, schur_complement
 from .rng import SplitMix64, derive_seed
 
 REGIME_ABOVE_CUT = "zero-diagonal count at or above the cut"
@@ -102,10 +102,10 @@ def build_delta1(
             f"need n_left > {2 * p} and n_right > {2 * p}, "
             f"got {g.n_left} and {g.n_right}"
         )
-    full = laplacian_mod_p(g, p)
-    keep = range(p, g.n_vertices - p)
+    full = laplacian_mod_p(g, p).entries
+    end = g.n_vertices - p
     return ReducedModelMatrix(
-        matrix=submatrix(full, keep, keep),
+        matrix=PrimeFieldMatrix(p, full[p:end, p:end]),
         split=g.n_left - p,
         tag="delta1",
         params=params,
@@ -175,9 +175,8 @@ def corank_pipeline(m: ReducedModelMatrix) -> PipelineReport:
     diag = m.diagonal()
     d1 = diag[: m.split]
     r = int(np.count_nonzero(d1 == 0))
-    invertible = tuple(int(i) for i in np.nonzero(d1)[0])
     corank_direct = corank_mod_p(m.matrix)
-    complement = schur_complement(m.matrix, IndexSet(invertible, m.dim))
+    complement = schur_complement(m.matrix, np.flatnonzero(d1))
     corank_schur = corank_mod_p(complement)
     cut = floor_ratio(m.params.alpha, m.params.n)
     regime = REGIME_ABOVE_CUT if r >= cut else REGIME_BELOW_CUT

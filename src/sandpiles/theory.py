@@ -98,6 +98,9 @@ def binom_tail_gt(spec: BinomialSpec, s: int) -> Fraction | float:
         return Fraction(1) if spec.exact else 1.0
     if s >= spec.n:
         return Fraction(0) if spec.exact else 0.0
+    if spec.exact:
+        tail = sum(_pmf_numerator(spec.n, spec.prob, k) for k in range(s + 1, spec.n + 1))
+        return Fraction(tail, spec.prob.denominator**spec.n)
     return sum(binom_pmf(spec, k) for k in range(s + 1, spec.n + 1))
 
 

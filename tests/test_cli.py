@@ -67,15 +67,22 @@ def test_simulate_rejects_invalid_model(capsys):
     assert "error:" in err
 
 
-def test_simulate_rejects_csv_for_sweeps(capsys, tmp_path):
-    code, _, err = run_cli(
-        capsys,
-        "simulate", "--kind", "q-sweep", "--n", "12", "--alpha", "0.5",
-        "--q", "0.5", "--p", "2", "--trials", "2", "--seed", "3",
-        "--csv", str(tmp_path / "x.csv"),
-    )
-    assert code == 2
-    assert "--csv" in err
+def test_simulate_rejects_csv_for_sweeps(capsys, tmp_path, monkeypatch):
+    def no_run(cfg):
+        raise AssertionError(f"{cfg.kind} ran before --csv was refused")
+
+    monkeypatch.setattr(sandpiles.cli, "run_experiment", no_run)
+    for kind, alpha in (("q-sweep", "0.5"), ("balanced-scaling", "1")):
+        code, _, err = run_cli(
+            capsys,
+            "simulate", "--kind", kind, "--n", "12", "--alpha", alpha,
+            "--q", "0.5", "--p", "2", "--trials", "2", "--seed", "3",
+            "--csv", str(tmp_path / "x.csv"),
+            "--out", str(tmp_path / "x.json"),
+        )
+        assert code == 2
+        assert "--csv" in err
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
 def test_simulate_guard_failure_exit_code(capsys):

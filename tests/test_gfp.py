@@ -14,8 +14,8 @@ from oracles import (
 )
 from sandpiles import (
     DimensionMismatchError,
-    IndexSet,
     InvalidParamsError,
+    InvalidShapeError,
     NotPrimeError,
     PrimeFieldMatrix,
     SingularBlockError,
@@ -155,18 +155,17 @@ def test_matrix_equality_and_hash():
     assert a != [[1, 2], [0, 1]]
 
 
-def test_index_set_validation():
-    s = IndexSet((0, 2, 5), 6)
-    assert s.complement().indices == (1, 3, 4)
-    assert IndexSet((), 4).complement().indices == (0, 1, 2, 3)
-    with pytest.raises(ValueError):
-        IndexSet((2, 1), 4)  # not increasing
-    with pytest.raises(ValueError):
-        IndexSet((0, 0), 4)  # repeated
-    with pytest.raises(ValueError):
-        IndexSet((0, 4), 4)  # out of bound
-    with pytest.raises(ValueError):
-        IndexSet((-1,), 4)
+def test_schur_complement_index_validation():
+    m = PrimeFieldMatrix(7, [[1, 2, 0, 3], [2, 4, 1, 0], [0, 1, 5, 6], [3, 0, 6, 2]])
+    with pytest.raises(InvalidShapeError):
+        schur_complement(m, (0, 2, 0))  # repeated
+    with pytest.raises(DimensionMismatchError, match=r"^eliminated index 4 out of range for "):
+        schur_complement(m, (0, 4))
+    with pytest.raises(DimensionMismatchError, match=r"^eliminated index -1 out of range for "):
+        schur_complement(m, (-1,))
+    with pytest.raises(TypeError):
+        schur_complement(m, (0.5,))
+    assert schur_complement(m, (3, 1, 0)) == schur_complement(m, (0, 1, 3))
 
 
 def test_submatrix_selects_rows_and_columns():
@@ -364,7 +363,7 @@ def test_schur_complement_hand_example():
     # m = [[2, 1], [1, 1]] over Z/5Z, eliminating the first variable:
     # 1 - 1 * inv(2) * 1 = 1 - 3 = -2 = 3 (mod 5).
     m = PrimeFieldMatrix(5, [[2, 1], [1, 1]])
-    out = schur_complement(m, IndexSet((0,), 2))
+    out = schur_complement(m, (0,))
     assert out.entries.tolist() == [[3]]
 
 
@@ -377,9 +376,8 @@ def test_schur_complement_preserves_corank_sweep():
         m = random_uniform_matrix(stream, size, size, p)
         block = 1 + stream.next_below(size - 1)
         picks = sorted(set(stream.next_below(size) for _ in range(block)))
-        s = IndexSet(tuple(picks), size)
         try:
-            out = schur_complement(m, s)
+            out = schur_complement(m, picks)
         except SingularBlockError:
             continue
         assert corank_mod_p(out) == corank_mod_p(m)
@@ -397,13 +395,13 @@ def test_determinant_mod_p_matches_cofactor_expansion():
         assert _det_mod_p(np.array(rows, dtype=np.int64), p) == det_by_cofactors(rows) % p
 
 
-def _check_schur_by_determinant_quotients(m: PrimeFieldMatrix, s: IndexSet) -> bool:
+def _check_schur_by_determinant_quotients(m: PrimeFieldMatrix, s: list[int]) -> bool:
     """Whether A[S,S] is invertible; asserts the complement or the error."""
     # Entry (i, j) of the Schur complement is det(A[S+i, S+j]) / det(A[S, S]),
     # with i and j in T appended last to the rows and columns of S.
     p = m.p
     rows = m.entries.tolist()
-    block = [[rows[a][b] for b in s.indices] for a in s.indices]
+    block = [[rows[a][b] for b in s] for a in s]
     det_ss = det_by_cofactors(block) % p
     if det_ss == 0:
         rank = rank_by_row_reduction(block, p)
@@ -412,11 +410,11 @@ def _check_schur_by_determinant_quotients(m: PrimeFieldMatrix, s: IndexSet) -> b
             schur_complement(m, s)
         return False
     scale = pow(det_ss, -1, p)
-    t = s.complement().indices
+    t = [i for i in range(m.rows) if i not in s]
     expect = [
         [
             det_by_cofactors(
-                [[rows[a][b] for b in (*s.indices, j)] for a in (*s.indices, i)]
+                [[rows[a][b] for b in (*s, j)] for a in (*s, i)]
             ) * scale % p
             for j in t
         ]
@@ -438,17 +436,16 @@ def test_schur_complement_matches_determinant_quotients():
         size = 2 + stream.next_below(5)
         m = random_uniform_matrix(stream, size, size, p)
         picks = sorted({stream.next_below(size) for _ in range(1 + stream.next_below(size - 1))})
-        s = IndexSet(tuple(picks), size)
-        if len(s) == size:
+        if len(picks) == size:
             continue
         entries = m.entries.copy()
         block = entries[np.ix_(picks, picks)]
         entries[np.ix_(picks, picks)] = np.diag(np.diagonal(block))
         if sum(diagonal.values()) % 2:
             entries[picks[-1], picks[-1]] = 0
-        invertible = _check_schur_by_determinant_quotients(PrimeFieldMatrix(p, entries), s)
+        invertible = _check_schur_by_determinant_quotients(PrimeFieldMatrix(p, entries), picks)
         diagonal[invertible] += 1
-        if _check_schur_by_determinant_quotients(m, s):
+        if _check_schur_by_determinant_quotients(m, picks):
             done += 1
     assert min(diagonal.values()) >= 40
 
@@ -466,30 +463,30 @@ def test_schur_complement_on_build_M_matches_the_eliminating_solve():
             assert np.count_nonzero(a_ss - np.diag(np.diagonal(a_ss))) == 0
             x = _solve(a_ss, a[np.ix_(picks, rest)], p)
             expect = (a[np.ix_(rest, rest)] - _python_matmul(a[np.ix_(rest, picks)], x)) % p
-            out = schur_complement(m.matrix, IndexSet(tuple(picks), m.dim))
+            out = schur_complement(m.matrix, picks)
             assert out.entries.tolist() == expect.tolist()
 
 
 def test_schur_complement_empty_and_full_selection():
     m = PrimeFieldMatrix(3, [[1, 2], [2, 2]])
-    empty = schur_complement(m, IndexSet((), 2))
+    empty = schur_complement(m, ())
     assert empty == m
-    full = schur_complement(m, IndexSet((0, 1), 2))
+    full = schur_complement(m, (0, 1))
     assert full.entries.shape == (0, 0)
 
 
-def test_schur_complement_requires_square_and_matching_bound():
+def test_schur_complement_requires_square_and_in_range_indices():
     with pytest.raises(DimensionMismatchError):
-        schur_complement(PrimeFieldMatrix(3, [[1, 2, 0], [0, 1, 1]]), IndexSet((0,), 2))
+        schur_complement(PrimeFieldMatrix(3, [[1, 2, 0], [0, 1, 1]]), (0,))
     m = PrimeFieldMatrix(3, [[1, 0], [0, 1]])
     with pytest.raises(DimensionMismatchError):
-        schur_complement(m, IndexSet((0,), 3))
+        schur_complement(m, (0, 2))
 
 
 def test_schur_complement_singular_block_raises():
     m = PrimeFieldMatrix(2, [[0, 1], [1, 0]])
     with pytest.raises(SingularBlockError):
-        schur_complement(m, IndexSet((0,), 2))
+        schur_complement(m, (0,))
 
 
 def test_render_shows_residues():

@@ -96,10 +96,12 @@ def test_binom_tail_cases():
 
 
 def test_tail_complements_pmf_sum():
-    spec = BinomialSpec(12, Fraction(2, 7))
-    for s in range(-1, 13):
-        head = sum(binom_pmf(spec, k) for k in range(0, max(s + 1, 0)))
-        assert head + binom_tail_gt(spec, s) == 1
+    for n in (12, 25):
+        for prob in (Fraction(2, 7), Fraction(0), Fraction(1)):
+            spec = BinomialSpec(n, prob)
+            for s in range(-1, n + 1):
+                head = sum(binom_pmf(spec, k) for k in range(0, max(s + 1, 0)))
+                assert head + binom_tail_gt(spec, s) == 1
 
 
 # ------------------------------------------------- conditional expectations
