@@ -31,9 +31,16 @@ from .harness import (
 from .theory import expected_excess_exact, expected_rank_asymptotic, rank_pmf_theoretical
 from . import verify as verify_mod
 
-# Largest n that ``predict`` computes.  At alpha = 1/4, p = 2 the exact rank
-# law took 0.4 / 4.5 s at n = 2000 / 5000 on a 2-core host.  The cost grows
-# about as n**2.7, so n = 10**4 takes ~30 s and n = 10**5 would take hours.
+# Largest n that ``predict`` computes.  One prediction at alpha = 1/4, timed
+# in process on a 2-core host (Python 3.11), best of 3 (of 1 for the last
+# column):
+#
+#     n          p = 2     p = 5     p = 2**61 - 1
+#     10**4      0.11 s    0.16 s     7.1 s
+#     2 * 10**4  0.38 s    0.62 s    28 s
+#
+# Each of the n ratio steps touches an n*log2(p)-bit numerator, so the cost
+# grows about as n**2 * log(p), and the largest primes set the limit.
 PREDICT_N_GUARD = 10**4
 
 

@@ -7,11 +7,12 @@ distributional distance) distributed as
     max(B(n, 1/p) - floor(alpha*n), 0),
 
 a truncated shifted binomial.  Everything else in the module is supporting
-machinery: exact binomial arithmetic on integer numerators, the three
-expectation regimes (alpha below / above / at 1/p), an exact identity for
-binomial conditional means, the De Moivre-Laplace local estimate, a Hoeffding
-tail bound, and a min-entropy lower bound for the full-rank probability of
-random matrices over GF(p).
+machinery: exact binomial arithmetic on integer numerators (a pass over the
+support steps each numerator from the last by an exact integer ratio), the
+three expectation regimes (alpha below / above / at 1/p), an exact identity
+for binomial conditional means, the De Moivre-Laplace local estimate, a
+Hoeffding tail bound, and a min-entropy lower bound for the full-rank
+probability of random matrices over GF(p).
 
 Exactness policy: whenever a parameter is rational, probabilities are
 computed in exact rational arithmetic and rounded to binary64 only at the
@@ -22,10 +23,11 @@ error comfortably below 1e-12.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from math import comb, exp, lgamma, log, pi, sqrt
 
 from .bigraph import floor_ratio
@@ -71,6 +73,24 @@ def _pmf_numerator(n: int, q: Fraction, k: int) -> int:
     return comb(n, k) * q.numerator**k * (q.denominator - q.numerator) ** (n - k)
 
 
+def _pmf_numerators(n: int, q: Fraction) -> Iterator[int]:
+    """``_pmf_numerator(n, q, k)`` for k = 0..n, each stepped from the last.
+
+    N(k+1) = N(k)*(n-k)*a / ((k+1)*(b-a)) is an exact integer division, so a
+    full pass costs no ``comb`` and no power beyond the first (b-a)**n.
+    """
+    a, c = q.numerator, q.denominator - q.numerator
+    if c == 0:
+        yield from repeat(0, n)
+        yield a**n
+        return
+    num = c**n
+    yield num
+    for k in range(n):
+        num = num * ((n - k) * a) // ((k + 1) * c)
+        yield num
+
+
 def _pmf_float(n: int, q: float, k: int) -> float:
     if q == 0.0:
         return 1.0 if k == 0 else 0.0
@@ -99,7 +119,7 @@ def binom_tail_gt(spec: BinomialSpec, s: int) -> Fraction | float:
     if s >= spec.n:
         return Fraction(0) if spec.exact else 0.0
     if spec.exact:
-        tail = sum(_pmf_numerator(spec.n, spec.prob, k) for k in range(s + 1, spec.n + 1))
+        tail = sum(islice(_pmf_numerators(spec.n, spec.prob), s + 1, None))
         return Fraction(tail, spec.prob.denominator**spec.n)
     return sum(binom_pmf(spec, k) for k in range(s + 1, spec.n + 1))
 
@@ -125,7 +145,7 @@ def conditional_mean_above(n: int, alpha: Fraction | float, s: int) -> Fraction 
     a = Fraction(alpha)
     if not 0 <= a <= 1:
         raise InvalidParamsError(f"alpha must be in [0, 1], got {alpha}")
-    tail = sum(_pmf_numerator(n, a, k) for k in range(max(s + 1, 0), n + 1))
+    tail = sum(islice(_pmf_numerators(n, a), max(s + 1, 0), None))
     if tail == 0:
         raise EmptyConditioningEventError(
             f"B({n}, {alpha}) > {s} has probability zero"
@@ -150,8 +170,9 @@ def expected_excess_exact(n: int, alpha_cut: Fraction | float, p: int) -> float:
     c, d = Fraction(alpha_cut).as_integer_ratio()
     q = Fraction(1, p)
     # (k - c*n/d) * pmf(k) = (d*k - c*n) * numerator(k) / (d * p**n), k > floor(c*n/d).
-    terms = range(max(c * n // d + 1, 0), n + 1)
-    total = sum((d * k - c * n) * _pmf_numerator(n, q, k) for k in terms)
+    cut = max(c * n // d + 1, 0)
+    terms = islice(enumerate(_pmf_numerators(n, q)), cut, None)
+    total = sum((d * k - c * n) * num for k, num in terms)
     return total / (d * p**n)
 
 
@@ -254,10 +275,10 @@ def rank_pmf_theoretical(n: int, alpha: Fraction | float, p: int) -> RankDistrib
     q = Fraction(1, p)
     offset = floor_ratio(alpha, n)
     den = p**n
-    at_zero = sum(_pmf_numerator(n, q, k) for k in range(0, min(offset, n) + 1))
-    pmf: dict[int, float] = {0: at_zero / den}
-    for j in range(1, n - offset + 1):
-        pmf[j] = _pmf_numerator(n, q, offset + j) / den
+    nums = _pmf_numerators(n, q)
+    pmf: dict[int, float] = {0: sum(islice(nums, min(offset, n) + 1)) / den}
+    for j, num in enumerate(nums, start=1):
+        pmf[j] = num / den
     return RankDistribution(n=n, alpha=float(alpha), p=p, offset=offset, pmf=pmf)
 
 

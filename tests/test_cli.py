@@ -122,6 +122,14 @@ def test_predict_with_huge_prime_is_fast(capsys):
     assert json.loads(out)["p"] == 2305843009213693951
 
 
+def test_predict_at_the_guard_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "predict", "--n", "10000", "--alpha", "0.25", "--p", "2")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert json.loads(out)["distribution"]["params"]["offset"] == 2500
+
+
 def test_predict_refuses_n_over_the_guard(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "predict", "--n", "1000000", "--alpha", "0.25", "--p", "2")

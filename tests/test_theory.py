@@ -31,6 +31,7 @@ from sandpiles import (
     min_entropy_rank_bound,
     rank_pmf_theoretical,
 )
+from sandpiles.theory import _pmf_numerators
 
 
 # ---------------------------------------------------------------- binomials
@@ -104,6 +105,21 @@ def test_tail_complements_pmf_sum():
                 assert head + binom_tail_gt(spec, s) == 1
 
 
+def _numerators_from_scratch(n, q):
+    a, b = q.numerator, q.denominator
+    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+
+
+def test_stepped_numerators_match_closed_form():
+    probs = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+             Fraction(1, 2**31 - 1))
+    for q in probs:
+        for n in range(41):
+            assert list(_pmf_numerators(n, q)) == _numerators_from_scratch(n, q), (n, q)
+    q = Fraction(1, 5)
+    assert list(_pmf_numerators(1000, q)) == _numerators_from_scratch(1000, q)
+
+
 # ------------------------------------------------- conditional expectations
 
 
@@ -132,6 +148,18 @@ def test_conditional_mean_empty_event_raises():
         conditional_mean_above(1, Fraction(1, 2), 1)  # B > 1 impossible for n=1
     with pytest.raises(EmptyConditioningEventError):
         conditional_mean_above(5, Fraction(1, 2), 7)
+
+
+def test_conditional_mean_at_degenerate_alphas():
+    # alpha = 1: B = n surely, so every event B > s with s < n leaves the mean n.
+    for alpha in (Fraction(1), 1.0):
+        for s in range(-2, 6):
+            assert conditional_mean_above(6, alpha, s) == 6
+    # alpha = 0: B = 0 surely, so only B > -1 has positive probability.
+    assert conditional_mean_above(6, Fraction(0), -1) == 0
+    for s in range(0, 6):
+        with pytest.raises(EmptyConditioningEventError):
+            conditional_mean_above(6, Fraction(0), s)
 
 
 def test_expected_excess_examples():
