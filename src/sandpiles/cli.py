@@ -8,7 +8,7 @@ Usage:
     sandpiles verify
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for invalid
-configuration or unreadable input.
+configuration, unreadable input or a refused memory allocation.
 """
 
 from __future__ import annotations
@@ -166,10 +166,7 @@ def main(argv=None) -> int:
         if args.command == "group":
             return _cmd_group(args)
         return _cmd_verify()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

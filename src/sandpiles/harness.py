@@ -137,15 +137,13 @@ def _check_kind(cfg: ExperimentConfig, kind: str) -> None:
 
 
 def _run_trials(
-    cfg: ExperimentConfig, observe: Callable[[int], int]
-) -> tuple[tuple[int, ...], float]:
-    """Run ``observe(trial_seed)`` for every trial; returns observations."""
+    cfg: ExperimentConfig, observe: Callable[[int], object]
+) -> tuple[tuple, float]:
+    """Run ``observe(trial_seed)`` for every trial; returns what each returned."""
     start = time.perf_counter()
-    observations = tuple(
-        int(observe(derive_seed(cfg.master_seed, t))) for t in range(cfg.trials)
-    )
+    outcomes = tuple(observe(derive_seed(cfg.master_seed, t)) for t in range(cfg.trials))
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return observations, elapsed_ms
+    return outcomes, elapsed_ms
 
 
 def _sample(cfg: ExperimentConfig, seed: int):
@@ -158,17 +156,18 @@ def _compare_to_law(cfg: ExperimentConfig, observations) -> ComparisonStats:
 
 def _result(
     cfg: ExperimentConfig,
-    observations: tuple[int, ...],
+    observations: Sequence[int],
     elapsed_ms: float,
     comparison: ComparisonStats | None = None,
     extras: dict | None = None,
 ) -> ExperimentResult:
+    """Summarize ``observations``, stored as Python ints (bools become 0/1)."""
     from . import __version__
 
     arr = np.asarray(observations, dtype=np.float64)
     return ExperimentResult(
         config=cfg,
-        per_trial=observations,
+        per_trial=tuple(int(x) for x in observations),
         mean=float(arr.mean()),
         variance=float(arr.var(ddof=1)) if arr.size > 1 else 0.0,
         quantiles={level: float(np.percentile(arr, level)) for level in _QUANTILE_LEVELS},
@@ -225,13 +224,10 @@ def run_mcorank_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     same truncated-binomial law as the p-rank experiment.
     """
     _check_kind(cfg, "m-corank")
-    reports = []
-
-    def observe(seed: int) -> int:
-        reports.append(corank_pipeline(build_M(cfg.n, cfg.alpha, cfg.q, cfg.p, seed)))
-        return reports[-1].corank_direct
-
-    obs, elapsed_ms = _run_trials(cfg, observe)
+    reports, elapsed_ms = _run_trials(
+        cfg, lambda seed: corank_pipeline(build_M(cfg.n, cfg.alpha, cfg.q, cfg.p, seed))
+    )
+    obs = [r.corank_direct for r in reports]
     mismatches = sum(r.corank_direct != r.corank_schur for r in reports)
     extras = {
         "schur_all_equal": mismatches == 0,

@@ -51,22 +51,21 @@ REGIME_BELOW_CUT = "zero-diagonal count below the cut"
 
 @dataclass(frozen=True)
 class ReducedModelMatrix:
-    """A trimmed mod-p Laplacian (or its uniformized variant) with provenance.
+    """A trimmed mod-p Laplacian (or its uniformized variant) and its cut.
 
     ``split`` separates the left-vertex rows (the D1 block) from the
-    right-vertex rows; ``params`` records the model the matrix came from
-    (for tag "M" the *requested* model size n, whose sample actually used
-    n + 2p left vertices); ``tag`` is "delta1" or "M".
+    right-vertex rows; ``cut`` is the truncation cut floor(alpha*n) of the
+    model the matrix stands for, which :func:`corank_pipeline` compares with
+    the number of zero diagonal entries in the D1 block.
     """
 
     matrix: PrimeFieldMatrix
     split: int
-    tag: str
-    params: GraphModelParams | None = None
+    cut: int
 
     def __post_init__(self):
-        if self.tag not in ("delta1", "M"):
-            raise InvalidParamsError(f"tag must be 'delta1' or 'M', got {self.tag!r}")
+        if self.cut < 0:
+            raise InvalidParamsError(f"cut must be >= 0, got {self.cut}")
         m = self.matrix
         if m.rows != m.cols:
             raise InvalidParamsError(f"matrix must be square, got {m!r}")
@@ -85,14 +84,13 @@ class ReducedModelMatrix:
         return np.diagonal(self.matrix.entries)
 
 
-def build_delta1(
-    g: BipartiteGraph, p: int, params: GraphModelParams | None = None
-) -> ReducedModelMatrix:
+def build_delta1(g: BipartiteGraph, p: int) -> ReducedModelMatrix:
     """Laplacian of ``g`` mod p with the outer p vertices of each side removed.
 
     Concretely: rows/columns p .. N-1-p of the full N x N Laplacian mod p
     survive (N = n_left + n_right), so the result is square of size N - 2p
-    and the first n_left - p rows belong to left vertices.
+    and the first n_left - p rows belong to left vertices.  The cut is the
+    graph's own floor(alpha*n), its right part size.
 
     Requires n_left > 2p and n_right > 2p so that both blocks survive; raises
     :class:`TooSmallError` otherwise.
@@ -107,8 +105,7 @@ def build_delta1(
     return ReducedModelMatrix(
         matrix=PrimeFieldMatrix(p, full[p:end, p:end]),
         split=g.n_left - p,
-        tag="delta1",
-        params=params,
+        cut=g.n_right,
     )
 
 
@@ -118,7 +115,8 @@ def build_M(n: int, alpha: float, q: float, p: int, seed: int) -> ReducedModelMa
     Samples a graph with n + 2p left vertices (same alpha, q) from the seeded
     stream, trims it as in :func:`build_delta1`, then replaces every diagonal
     entry by an independent uniform draw from Z/pZ taken from the same stream
-    *after* all edge draws.  Deterministic given (n, alpha, q, p, seed).
+    *after* all edge draws.  Deterministic given (n, alpha, q, p, seed).  The
+    cut is floor(alpha*n) for the requested n, not for the enlarged sample.
     """
     enlarged = GraphModelParams(n=n + 2 * p, alpha=alpha, q=q, seed=seed)
     stream = SplitMix64(seed)
@@ -130,8 +128,7 @@ def build_M(n: int, alpha: float, q: float, p: int, seed: int) -> ReducedModelMa
     return ReducedModelMatrix(
         matrix=PrimeFieldMatrix(p, entries),
         split=base.split,
-        tag="M",
-        params=GraphModelParams(n=n, alpha=alpha, q=q, seed=seed),
+        cut=floor_ratio(alpha, n),
     )
 
 
@@ -140,9 +137,8 @@ class PipelineReport:
     """Corank of one matrix computed directly and through Schur elimination.
 
     ``r`` counts zero diagonal entries in the D1 block; ``regime`` records
-    whether r reached the truncation cut floor(alpha*n) of the provenance
-    model (the sign that decides which branch of the corank analysis
-    applies).
+    whether r reached the matrix's truncation cut floor(alpha*n) (the sign
+    that decides which branch of the corank analysis applies).
     """
 
     corank_direct: int
@@ -168,18 +164,13 @@ def corank_pipeline(m: ReducedModelMatrix) -> PipelineReport:
     complement's corank must equal the direct corank -- the returned report
     carries both so callers can assert it.
     """
-    if m.params is None:
-        raise InvalidParamsError(
-            "corank_pipeline needs provenance params to classify the regime"
-        )
     diag = m.diagonal()
     d1 = diag[: m.split]
     r = int(np.count_nonzero(d1 == 0))
     corank_direct = corank_mod_p(m.matrix)
     complement = schur_complement(m.matrix, np.flatnonzero(d1))
     corank_schur = corank_mod_p(complement)
-    cut = floor_ratio(m.params.alpha, m.params.n)
-    regime = REGIME_ABOVE_CUT if r >= cut else REGIME_BELOW_CUT
+    regime = REGIME_ABOVE_CUT if r >= m.cut else REGIME_BELOW_CUT
     return PipelineReport(
         corank_direct=corank_direct,
         corank_schur=corank_schur,
@@ -215,7 +206,7 @@ def diag_uniformity_stat(
     counts = np.zeros(p, dtype=np.int64)
     for t in range(trials):
         params = GraphModelParams(n=n, alpha=alpha, q=q, seed=derive_seed(seed, t))
-        d1 = build_delta1(sample_bipartite(params), p, params=params)
+        d1 = build_delta1(sample_bipartite(params), p)
         counts[int(d1.matrix.entries[entry_index, entry_index])] += 1
     expected = trials / p
     stat = float(((counts - expected) ** 2 / expected).sum())

@@ -16,8 +16,11 @@ probability of random matrices over GF(p).
 
 Exactness policy: whenever a parameter is rational, probabilities are
 computed in exact rational arithmetic and rounded to binary64 only at the
-reporting boundary.  Float parameters take a log-gamma path with relative
-error comfortably below 1e-12.
+reporting boundary.  ``conditional_mean_above``, ``expected_excess_exact`` and
+``rank_pmf_theoretical`` convert a float alpha to its exact binary64 rational,
+so they stay exact too.  Only a :class:`BinomialSpec` with a float ``prob``
+(``binom_pmf``, ``binom_tail_gt``) takes a log-gamma path, with relative error
+comfortably below 1e-12.
 """
 
 from __future__ import annotations

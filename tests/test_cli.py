@@ -212,6 +212,27 @@ def test_group_rejects_non_integer_graph_json(tmp_path, capsys):
     assert "must be an integer" in err
 
 
+def test_refused_allocation_exits_two(monkeypatch, capsys, tmp_path):
+    # A refused allocation is a configuration too large for this host, not a
+    # failed verification, so it exits 2.  Simulated: a real multi-terabyte
+    # request can be granted lazily and then exhaust memory.
+    def refuse(*_args, **_kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(sandpiles.cli, "load_graph", refuse)
+    monkeypatch.setattr(sandpiles.cli, "run_experiment", refuse)
+    code, out, err = run_cli(capsys, "group", "--edges", str(tmp_path / "huge.json"))
+    assert (code, out) == (2, "")
+    assert "error: Unable to allocate" in err
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--kind", "prank", "--n", "1000", "--alpha", "1",
+        "--q", "0.5", "--p", "2", "--trials", "1", "--seed", "1",
+    )
+    assert (code, out) == (2, "")
+    assert "error: Unable to allocate" in err
+
+
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import and only one diagnostic
     # in reduction.py uses it, so the CLI must not pull it in.

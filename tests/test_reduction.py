@@ -29,41 +29,40 @@ from sandpiles.reduction import (
 
 
 def _sample(n: int, alpha: float, q: float, seed: int):
-    params = GraphModelParams(n=n, alpha=alpha, q=q, seed=seed)
-    return params, sample_bipartite(params)
+    return sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=seed))
 
 
 def test_reduced_model_matrix_validation():
     sym = PrimeFieldMatrix(3, [[1, 2], [2, 0]])
-    m = ReducedModelMatrix(matrix=sym, split=1, tag="delta1")
+    m = ReducedModelMatrix(matrix=sym, split=1, cut=1)
     assert m.dim == 2
     assert m.diagonal().tolist() == [1, 0]
+    assert ReducedModelMatrix(matrix=sym, split=1, cut=0).cut == 0
     with pytest.raises(InvalidParamsError):
-        ReducedModelMatrix(matrix=sym, split=1, tag="weird")
+        ReducedModelMatrix(matrix=sym, split=1, cut=-1)
     with pytest.raises(InvalidParamsError):
-        ReducedModelMatrix(matrix=sym, split=5, tag="M")
+        ReducedModelMatrix(matrix=sym, split=5, cut=1)
     asym = PrimeFieldMatrix(3, [[1, 2], [0, 0]])
     with pytest.raises(InvalidParamsError):
-        ReducedModelMatrix(matrix=asym, split=1, tag="delta1")
+        ReducedModelMatrix(matrix=asym, split=1, cut=1)
     wide = PrimeFieldMatrix(3, [[1, 2, 0]])
     with pytest.raises(InvalidParamsError):
-        ReducedModelMatrix(matrix=wide, split=1, tag="delta1")
+        ReducedModelMatrix(matrix=wide, split=1, cut=1)
 
 
 def test_build_delta1_shape_and_split():
-    params, g = _sample(24, 0.5, 0.5, 11)
-    m = build_delta1(g, 2, params=params)
+    g = _sample(24, 0.5, 0.5, 11)
+    m = build_delta1(g, 2)
     # 24 left + 12 right vertices lose 2 from each end: 36 - 4 = 32.
     assert m.dim == 32
     assert m.split == 22
-    assert m.tag == "delta1"
-    assert m.params == params
+    assert m.cut == g.n_right == 12
 
 
 def test_build_delta1_is_central_block_of_full_laplacian():
-    params, g = _sample(8, 1.0, 0.5, 202)
+    g = _sample(8, 1.0, 0.5, 202)
     p = 2
-    m = build_delta1(g, p, params=params)
+    m = build_delta1(g, p)
     full = laplacian_mod_p(g, p)
     keep = tuple(range(p, g.n_vertices - p))
     assert m.matrix == submatrix(full, keep, keep)
@@ -89,18 +88,18 @@ def test_build_delta1_symmetric_sweep():
     for seed in range(25):
         for p in (2, 3):
             n = 4 * p + 1 + seed % 3
-            params, g = _sample(n, 1.0, 0.45, 900 + seed)
-            m = build_delta1(g, p, params=params)
+            g = _sample(n, 1.0, 0.45, 900 + seed)
+            m = build_delta1(g, p)
             arr = m.matrix.entries
             assert np.array_equal(arr, arr.T)
             assert m.dim == g.n_vertices - 2 * p
 
 
 def test_build_delta1_rejects_small_graphs():
-    _, g = _sample(8, 0.5, 0.5, 3)  # right side has only 4 vertices
+    g = _sample(8, 0.5, 0.5, 3)  # right side has only 4 vertices
     with pytest.raises(TooSmallError):
         build_delta1(g, 2)
-    _, g44 = _sample(4, 1.0, 0.5, 3)
+    g44 = _sample(4, 1.0, 0.5, 3)
     with pytest.raises(TooSmallError):
         build_delta1(g44, 2)
 
@@ -110,15 +109,15 @@ def test_build_M_dimensions_and_tag():
     # The sample has (20+4) + 12 vertices; trimming removes 4: 32 remain.
     assert m.dim == 32
     assert m.split == 22
-    assert m.tag == "M"
-    assert m.params == GraphModelParams(n=20, alpha=0.5, q=0.5, seed=9)
+    # The cut is floor(0.5 * 20) for the requested n, not the enlarged 24.
+    assert m.cut == 10
 
 
 def test_build_M_shares_off_diagonal_with_enlarged_delta1():
     n, alpha, q, p, seed = 12, 0.5, 0.4, 3, 5150
     m = build_M(n, alpha, q, p, seed)
     enlarged = GraphModelParams(n=n + 2 * p, alpha=alpha, q=q, seed=seed)
-    d1 = build_delta1(sample_bipartite(enlarged), p, params=enlarged)
+    d1 = build_delta1(sample_bipartite(enlarged), p)
     a = m.matrix.entries.copy()
     b = d1.matrix.entries.copy()
     np.fill_diagonal(a, 0)
@@ -200,8 +199,7 @@ def test_corank_pipeline_all_nonzero_diagonal_case():
     m = ReducedModelMatrix(
         matrix=PrimeFieldMatrix(3, entries),
         split=2,
-        tag="M",
-        params=GraphModelParams(n=4, alpha=0.5, q=0.5, seed=0),
+        cut=2,
     )
     report = corank_pipeline(m)
     assert report.r == 0
@@ -220,19 +218,12 @@ def test_corank_pipeline_all_zero_d1_case():
     m = ReducedModelMatrix(
         matrix=PrimeFieldMatrix(2, entries),
         split=2,
-        tag="M",
-        params=GraphModelParams(n=4, alpha=0.5, q=0.5, seed=0),
+        cut=2,
     )
     report = corank_pipeline(m)
     assert report.r == 2
-    assert report.regime == REGIME_ABOVE_CUT  # r = 2 >= floor(0.5*4) = 2
+    assert report.regime == REGIME_ABOVE_CUT  # r = 2 >= cut = 2
     assert report.corank_direct == report.corank_schur
-
-
-def test_corank_pipeline_requires_provenance():
-    m = ReducedModelMatrix(matrix=PrimeFieldMatrix(2, [[0, 1], [1, 0]]), split=1, tag="delta1")
-    with pytest.raises(InvalidParamsError):
-        corank_pipeline(m)
 
 
 @pytest.mark.parametrize(
@@ -252,7 +243,7 @@ def test_corank_stable_under_model_growth(p, alpha, n):
     bound = 4 * p
     for seed in range(60):
         params_big = GraphModelParams(n=big_n, alpha=alpha, q=q, seed=7000 + seed)
-        big = build_delta1(sample_bipartite(params_big), p, params=params_big)
+        big = build_delta1(sample_bipartite(params_big), p)
         nl_small = n - p
         nr_small = floor_ratio(alpha, n) - p
         nl_big = big_n - p
