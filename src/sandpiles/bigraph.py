@@ -85,14 +85,20 @@ class BipartiteGraph:
             raise InvalidShapeError(
                 f"both parts must be nonempty, got {n_left} and {n_right}"
             )
-        arr = np.asarray(biadjacency, dtype=np.int64)
-        if arr.shape != (n_left, n_right):
+        raw = np.asarray(biadjacency)
+        if raw.dtype.kind not in ("b", "i", "u"):
             raise InvalidShapeError(
-                f"biadjacency shape {arr.shape} does not match ({n_left}, {n_right})"
+                f"biadjacency entries must be integers, got dtype {raw.dtype}"
             )
-        if not np.isin(arr, (0, 1)).all():
+        if raw.shape != (n_left, n_right):
+            raise InvalidShapeError(
+                f"biadjacency shape {raw.shape} does not match ({n_left}, {n_right})"
+            )
+        # Both parts are nonempty, so min and max exist.  A uint64 entry
+        # >= 2**63 turns negative in int64 and is refused as well.
+        arr = raw.astype(np.int64)
+        if arr.min() < 0 or arr.max() > 1:
             raise InvalidShapeError("biadjacency entries must be 0 or 1")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "n_left", n_left)
         object.__setattr__(self, "n_right", n_right)

@@ -16,9 +16,11 @@ cuts its four blocks from the residue array with ``np.ix_``.  A diagonal
 block is solved in closed form instead, as a row scaling by the inverted
 diagonal: the D1 block of the paper's reduced Laplacians is diagonal.  Over
 GF(2) the rank alone has a faster path: rows packed into Python integers and
-eliminated with xor.  The test-suite checks both rank paths against minor
-and row-reduction oracles, and the Schur complement against determinant
-quotients.
+eliminated with xor.  Both loops also give kernels: eliminating ``a^T`` inside
+``[a^T | I]`` leaves rows whose ``a^T`` part is zero, and their identity part
+spans the kernel of ``a``.  The test-suite checks both rank paths against
+minor and row-reduction oracles, the kernel against ``a @ N^T = 0`` and its
+dimension, and the Schur complement against determinant quotients.
 
 Reduction mod p is lazy where int64 allows it.  Each elimination step
 reduces only the pivot column and the pivot row and subtracts
@@ -171,20 +173,28 @@ def _pack_gf2_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _rank_gf2(bits: np.ndarray) -> int:
-    """Rank over GF(2) by xor-elimination on bit-packed rows."""
+def _xor_pivots(rows: list[int]) -> dict[int, int]:
+    """Xor-eliminate bit-packed rows; returns lowest set bit -> pivot row.
+
+    Each row is reduced by the pivots already found until its lowest set bit
+    is new (it becomes a pivot) or nothing is left (it was dependent).  The
+    pivots are independent and span the same space as ``rows``.
+    """
     pivots: dict[int, int] = {}
-    rank = 0
-    for row in _pack_gf2_rows(bits):
+    for row in rows:
         while row:
             low = (row & -row).bit_length() - 1
             piv = pivots.get(low)
             if piv is None:
                 pivots[low] = row
-                rank += 1
                 break
             row ^= piv
-    return rank
+    return pivots
+
+
+def _rank_gf2(bits: np.ndarray) -> int:
+    """Rank over GF(2) by xor-elimination on bit-packed rows."""
+    return len(_xor_pivots(_pack_gf2_rows(bits)))
 
 
 def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> tuple[int, int]:
@@ -260,6 +270,30 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if rank != k:
         raise _singular(rank, k)
     return -w[k:, k:] % p
+
+
+def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
+    """Residue rows spanning ``{x : a @ x = 0 mod p}``, as a k x cols array.
+
+    Eliminates the first ``rows`` columns of ``[a^T | I_cols]`` with pivots
+    from all of its rows.  Row operations keep the identity part equal to
+    the combination of rows of ``a^T`` that the row holds, so the rows whose
+    ``a^T`` part comes out zero carry kernel vectors; they are independent,
+    and there are cols - rank(a) of them.  Over GF(2) the augmented rows are
+    packed into integers and run through the xor loop, whose pivots with
+    lowest bit at or past ``rows`` are those rows.
+    """
+    rows, cols = a.shape
+    w = np.concatenate([a.T, np.eye(cols, dtype=np.int64)], axis=1)
+    if p != 2:
+        r, _ = _echelon(w, p, rows, cols)
+        return w[r:, rows:]
+    pivots = _xor_pivots(_pack_gf2_rows(w))
+    kernel = [row >> rows for low, row in pivots.items() if low >= rows]
+    nbytes = (cols + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in kernel), np.uint8)
+    bits = np.unpackbits(packed.reshape(len(kernel), nbytes), axis=1, count=cols, bitorder="little")
+    return bits.astype(np.int64)
 
 
 def invert_mod_p(m: PrimeFieldMatrix) -> PrimeFieldMatrix:

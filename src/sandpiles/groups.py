@@ -10,12 +10,19 @@ Two routes to the p-rank (the number of invariant factors divisible by p) are
 implemented and cross-checked in the tests:
 
 * exact Smith normal form of a reduced Laplacian (any prime at once),
-* corank of the full Laplacian mod p minus the number of connected
-  components (fast, one prime at a time).
+* ``p_rank``, from the bipartite block structure of the Laplacian mod p (fast,
+  one prime at a time).
 
-The second works because the Smith form of the full Laplacian consists of the
-invariant factors plus one extra zero per component: reducing mod p turns
-each factor divisible by p and each zero into one dimension of kernel.
+The Smith form of the full Laplacian is the invariant factors plus one zero
+per component, and mod p each factor divisible by p and each zero gives one
+dimension of kernel: the p-rank is the corank of the Laplacian mod p minus
+the component count.  ``p_rank`` takes that corank without the N x N
+matrix.  Eliminating the left vertices of degree not divisible by p leaves
+[[0, B_Z], [B_Z^T, C]], where B_Z holds the z left rows of degree 0 mod p,
+so with k the nullity of B_Z and N a basis of its kernel the p-rank is
+(z - m) + k + corank(N C N^T) - components.  z - m is the paper's
+truncated-binomial variable and the rest its O(1) correction.  The test
+oracle takes the whole corank.
 """
 
 from __future__ import annotations
@@ -25,14 +32,9 @@ from math import prod
 
 import numpy as np
 
-from .bigraph import (
-    BipartiteGraph,
-    connected_components,
-    laplacian_mod_p,
-    reduced_laplacian,
-)
+from .bigraph import BipartiteGraph, connected_components, reduced_laplacian
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
-from .gfp import corank_mod_p, is_prime
+from .gfp import PrimeFieldMatrix, _kernel_basis, _matmul_mod, corank_mod_p, is_prime
 from .intmat import _bareiss, normalize_divisor_chain, smith_form_by_largest_factor
 
 # Largest component, in vertices, whose exact Smith form is attempted.  At
@@ -147,14 +149,38 @@ def sandpile_group(g: BipartiteGraph) -> GroupInvariants:
 def p_rank(g: BipartiteGraph, p: int) -> int:
     """Number of invariant factors of the sandpile group divisible by ``p``.
 
-    Uses the mod-p corank of the full Laplacian minus the component count;
-    equal to ``sandpile_group(g).p_multiplicity(p)`` but cheap enough for
-    Monte Carlo (no integer Smith form).
+    Equal to ``sandpile_group(g).p_multiplicity(p)`` but cheap enough for
+    Monte Carlo: no integer Smith form, and no N x N array.  With S the left
+    vertices of degree not divisible by ``p``, Z the other z of them and
+    m = ``n_right``, eliminating S from the Laplacian mod p,
+    [[D1, -B], [-B^T, D2]], leaves [[0, -B_Z], [-B_Z^T, C]] with
+    C = D2 - B_S^T D_S^-1 B_S.  If the k rows of N span the kernel of B_Z,
+    that block has rank 2 (m - k) + rank(N C N^T), so
+
+        p_rank = (z - m) + k + corank(N C N^T) - components.
+
+    z ~ B(n, pi_m) exactly, so z - m is the paper's binomial variable, and
+    k >= 1 because the all-ones vector lies in the kernel of B_Z.  The k x k
+    matrix N C N^T comes from X = B_S N^T; C itself is never formed.
     """
     if not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p}")
+    b = g.biadjacency
+    d_1 = b.sum(axis=1) % p
+    in_z = d_1 == 0
+    # Built before any elimination: it refuses p >= 2**31 and a non-int p.
+    b_z = PrimeFieldMatrix(p, b[in_z])
     n_comps = len(connected_components(g))
-    return corank_mod_p(laplacian_mod_p(g, p)) - n_comps
+    kernel = _kernel_basis(b_z.entries, p)
+    b_s = b[~in_z]
+    residues, which = np.unique(d_1[~in_z], return_inverse=True)
+    d_s_inv = np.array([pow(int(d), -1, p) for d in residues], dtype=np.int64)[which]
+    x = _matmul_mod(b_s, kernel.T, p)
+    d_2 = b.sum(axis=0) % p
+    c = _matmul_mod(kernel * d_2 % p, kernel.T, p)
+    c -= _matmul_mod((x * d_s_inv[:, None] % p).T, x, p)
+    corank = corank_mod_p(PrimeFieldMatrix(p, c % p))
+    return b_z.rows - g.n_right + kernel.shape[0] + corank - n_comps
 
 
 def is_cyclic(g: BipartiteGraph) -> bool:

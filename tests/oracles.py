@@ -16,7 +16,13 @@ from math import comb, lcm
 
 import numpy as np
 
-from sandpiles import BipartiteGraph, SplitMix64
+from sandpiles import (
+    BipartiteGraph,
+    SplitMix64,
+    connected_components,
+    corank_mod_p,
+    laplacian_mod_p,
+)
 from sandpiles.gfp import PrimeFieldMatrix
 from sandpiles.verify import (
     det_by_cofactors,
@@ -58,6 +64,12 @@ def components_by_bfs(g: BipartiteGraph) -> list[set[int]]:
                     frontier.append(w)
         comps.append(comp)
     return comps
+
+
+def p_rank_by_corank(g: BipartiteGraph, p: int) -> int:
+    """p-rank as the corank of the whole N x N Laplacian mod p minus the
+    component count (why that is the p-rank: the ``groups`` docstring)."""
+    return corank_mod_p(laplacian_mod_p(g, p)) - len(connected_components(g))
 
 
 def is_prime_by_trial_division(n: int) -> bool:

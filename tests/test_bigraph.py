@@ -77,6 +77,18 @@ def test_graph_validation_and_immutability():
         g.biadjacency[0, 0] = 0
 
 
+def test_graph_refuses_non_integer_and_out_of_range_entries():
+    for bad in ([[0.5, 1.7]], [[0.0, 1.0]], [["0", "1"]]):
+        with pytest.raises(InvalidShapeError, match="must be integers"):
+            BipartiteGraph(1, 2, bad)
+    for bad in ([[2, 0]], [[-1, 1]], np.array([[2**64 - 1, 1]], dtype=np.uint64)):
+        with pytest.raises(InvalidShapeError, match="must be 0 or 1"):
+            BipartiteGraph(1, 2, bad)
+    g = BipartiteGraph(1, 2, np.array([[True, False]]))
+    assert g.biadjacency.dtype == np.int64 and g.biadjacency.tolist() == [[1, 0]]
+    assert BipartiteGraph(1, 2, np.array([[0, 1]], dtype=np.uint8)).n_edges == 1
+
+
 def test_graph_equality_and_hash():
     a = BipartiteGraph(1, 2, [[1, 0]])
     b = BipartiteGraph(1, 2, [[1, 0]])

@@ -27,7 +27,7 @@ from sandpiles import (
     schur_complement,
     submatrix,
 )
-from sandpiles.gfp import _det_mod_p, _echelon, _matmul_mod, _solve
+from sandpiles.gfp import _det_mod_p, _echelon, _kernel_basis, _matmul_mod, _solve
 from sandpiles.reduction import build_M
 
 # At n = 32 the lazy-reduction bound (p-1) * (1 + n (p-1)) < 2**63 falls
@@ -294,6 +294,31 @@ def test_gf2_bit_path_matches_generic_elimination():
         cols = 1 + stream.next_below(8)
         m = random_uniform_matrix(stream, rows, cols, 2)
         assert rank_mod_p(m) == _echelon(m.entries.copy(), 2, cols, rows)[0]
+
+
+def test_kernel_basis_spans_the_kernel_with_independent_rows():
+    # Random matrices, and products of (rows x r) and (r x cols) factors for
+    # kernels larger than cols - rows; plus a 0-row and a zero matrix.
+    stream = SplitMix64(1313)
+    for p in (2, 3, 5, 7, 2**31 - 1):
+        cases = [np.zeros((0, 5), dtype=np.int64), np.zeros((4, 6), dtype=np.int64)]
+        for _ in range(16):
+            rows = 1 + stream.next_below(12)
+            cols = 1 + stream.next_below(12)
+            a = random_uniform_matrix(stream, rows, cols, p).entries
+            if stream.next_below(2):
+                r = 1 + stream.next_below(min(rows, cols))
+                left = random_uniform_matrix(stream, rows, r, p).entries
+                a = _matmul_mod(left, random_uniform_matrix(stream, r, cols, p).entries, p)
+            cases.append(a)
+        for a in cases:
+            kernel = _kernel_basis(a, p)
+            k = a.shape[1] - rank_mod_p(PrimeFieldMatrix(p, a))
+            assert kernel.shape == (k, a.shape[1]) and kernel.dtype == np.int64, (p, a.shape)
+            assert kernel.min(initial=0) >= 0 and kernel.max(initial=0) < p
+            assert not (_python_matmul(a, kernel.T) % p).any(), (p, a.shape)
+            assert rank_mod_p(PrimeFieldMatrix(p, kernel)) == k, (p, a.shape)
+        assert any(0 < _kernel_basis(a, p).shape[0] < a.shape[1] for a in cases)
 
 
 def test_corank_is_min_dimension_minus_rank():

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import invariant_factors_by_minors, spanning_trees_by_enumeration
+from oracles import invariant_factors_by_minors, p_rank_by_corank, spanning_trees_by_enumeration
 from sandpiles import (
     BipartiteGraph,
     DisconnectedError,
@@ -16,12 +16,15 @@ from sandpiles import (
     GroupInvariants,
     GuardExceededError,
     IntegerMatrix,
+    InvalidParamsError,
     NotPrimeError,
+    PrimeFieldMatrix,
     connected_components,
     determinant,
     is_cyclic,
     laplacian,
     p_rank,
+    rank_mod_p,
     reduced_laplacian,
     sample_bipartite,
     sandpile_group,
@@ -267,11 +270,73 @@ def test_p_rank_equals_factor_multiplicity_at_scale():
 
 
 def test_p_rank_rejects_non_prime():
-    g = complete_bipartite(2, 2)
-    with pytest.raises(NotPrimeError):
-        p_rank(g, 4)
-    with pytest.raises(NotPrimeError):
-        p_rank(g, 1)
+    # 2147483659, the first prime above 2**31, passes the primality test and
+    # is refused by the matrix constructor.
+    g = complete_bipartite(2, 3)
+    for p, error, message in [
+        (4, NotPrimeError, "p must be prime, got 4"),
+        (1, NotPrimeError, "p must be prime, got 1"),
+        (2147483659, NotPrimeError, "modulus must be < 2**31, got 2147483659"),
+        (2**64, InvalidParamsError, f"primality is decided only below 2**64, got {2**64}"),
+        (3.0, NotPrimeError, "modulus must be an int, got float"),
+    ]:
+        with pytest.raises(error) as info:
+            p_rank(g, p)
+        assert type(info.value) is error and str(info.value) == message, p
+    assert p_rank(g, 2**31 - 1) == 0
+
+
+def _block_shape(g: BipartiteGraph, p: int) -> tuple[int, int]:
+    """(z, k): left vertices of degree 0 mod p, and the nullity of B_Z."""
+    in_z = g.biadjacency.sum(axis=1) % p == 0
+    rank = rank_mod_p(PrimeFieldMatrix(p, g.biadjacency[in_z])) if in_z.any() else 0
+    return int(in_z.sum()), g.n_right - rank
+
+
+def test_p_rank_matches_the_full_laplacian_corank_on_seeded_graphs():
+    shapes = {"disconnected": 0, "z = 0": 0, "k > 1": 0, "p_rank > 0": 0}
+    for seed in range(4):
+        for p in (2, 3, 5, 7):
+            for alpha in (0.125, 0.25, 1 / 3, 0.5, 1.0):
+                for n in (12, 40, 90):
+                    for q in (0.05, 0.2, 0.5):
+                        g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=seed))
+                        rank = p_rank(g, p)
+                        assert rank == p_rank_by_corank(g, p), (seed, p, alpha, n, q)
+                        z, k = _block_shape(g, p)
+                        shapes["disconnected"] += len(connected_components(g)) > 1
+                        shapes["z = 0"] += z == 0
+                        shapes["k > 1"] += k > 1
+                        shapes["p_rank > 0"] += rank > 0
+    assert min(shapes.values()) >= 10, shapes
+
+
+def test_p_rank_on_the_edge_cases_of_the_block_identity():
+    iso = BipartiteGraph(4, 4, [[1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]])
+    # graph, p, p_rank, z, k; every graph is small enough for the Smith form.
+    cases = [
+        (complete_bipartite(3, 2), 3, 1, 0, 2),  # z = 0: every left degree is 2
+        (iso, 2, 1, 4, 2),  # isolated left and right vertices, 3 components
+        (iso, 3, 0, 1, 4),
+        (BipartiteGraph(2, 3, np.zeros((2, 3), dtype=np.int64)), 5, 0, 2, 3),
+        (complete_bipartite(3, 3), 3, 3, 3, 2),
+        (BipartiteGraph(3, 3, [[1, 1, 0], [1, 1, 1], [0, 0, 0]]), 2**31 - 1, 0, 1, 3),
+    ]
+    for g, p, want, z, k in cases:
+        assert _block_shape(g, p) == (z, k), (g, p)
+        assert p_rank(g, p) == p_rank_by_corank(g, p) == want, (g, p)
+        assert sandpile_group(g).p_multiplicity(p) == want, (g, p)
+
+
+def test_p_rank_matches_the_full_laplacian_corank_at_scale():
+    # The prank experiment's size: N = 1250, where the block route ranks a
+    # z x 250 block and the oracle the whole 1250 x 1250 Laplacian.
+    g = sample_bipartite(GraphModelParams(n=1000, alpha=0.25, q=0.5, seed=1))
+    for p in (2, 3):
+        assert p_rank(g, p) == p_rank_by_corank(g, p) > 0, p
+    for seed in range(4):
+        g = sample_bipartite(GraphModelParams(n=60, alpha=1.0, q=0.5, seed=seed))
+        assert p_rank(g, 2**31 - 1) == p_rank_by_corank(g, 2**31 - 1), seed
 
 
 def test_sandpile_group_matches_minor_oracle_on_small_graphs():
