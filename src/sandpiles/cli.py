@@ -130,7 +130,11 @@ def _cmd_group(args) -> int:
     g = load_graph(args.edges)
     invariants = sandpile_group(g)
     n_components = len(connected_components(g))
-    connected = n_components == 1
+    trees = spanning_tree_count(g) if n_components == 1 else None
+    if trees is not None and trees != invariants.order:
+        raise RuntimeError(
+            f"group order {invariants.order} differs from the tree count {trees}"
+        )
     payload = {
         "schema": 1,
         "n_left": g.n_left,
@@ -140,7 +144,7 @@ def _cmd_group(args) -> int:
         "invariant_factors": list(invariants.factors),
         "order": str(invariants.order),
         "cyclic": invariants.is_cyclic,
-        "spanning_trees": str(spanning_tree_count(g)) if connected else None,
+        "spanning_trees": None if trees is None else str(trees),
     }
     print(json.dumps(payload, indent=2))
     return 0

@@ -30,7 +30,7 @@ import numpy as np
 
 from .bigraph import GraphModelParams, sample_bipartite
 from .errors import EmptyInputError, InvalidParamsError, NotPrimeError
-from .gfp import is_prime
+from .gfp import _check_prime, is_prime
 from .groups import is_cyclic, p_rank
 from .reduction import build_M, corank_pipeline
 from .rng import derive_seed
@@ -69,6 +69,10 @@ class ExperimentConfig:
             raise InvalidParamsError(f"trials must be >= 1, got {self.trials}")
         if not is_prime(self.p):
             raise NotPrimeError(f"p must be prime, got {self.p}")
+        if self.kind != "cyclicity":
+            # Every other kind works over GF(p): refuse a modulus that
+            # PrimeFieldMatrix would refuse, before anything is sampled.
+            _check_prime(self.p)
         if self.kind == "balanced-scaling" and float(self.alpha) != 1.0:
             raise InvalidParamsError(
                 f"balanced-scaling requires alpha = 1, got {self.alpha}"

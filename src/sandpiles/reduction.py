@@ -84,6 +84,14 @@ class ReducedModelMatrix:
         return np.diagonal(self.matrix.entries)
 
 
+def _check_trim_size(n_left: int, n_right: int, p: int) -> None:
+    """Raise :class:`TooSmallError` unless both parts survive trimming p from each end."""
+    if n_left <= 2 * p or n_right <= 2 * p:
+        raise TooSmallError(
+            f"need n_left > {2 * p} and n_right > {2 * p}, got {n_left} and {n_right}"
+        )
+
+
 def build_delta1(g: BipartiteGraph, p: int) -> ReducedModelMatrix:
     """Laplacian of ``g`` mod p with the outer p vertices of each side removed.
 
@@ -95,11 +103,7 @@ def build_delta1(g: BipartiteGraph, p: int) -> ReducedModelMatrix:
     Requires n_left > 2p and n_right > 2p so that both blocks survive; raises
     :class:`TooSmallError` otherwise.
     """
-    if g.n_left <= 2 * p or g.n_right <= 2 * p:
-        raise TooSmallError(
-            f"need n_left > {2 * p} and n_right > {2 * p}, "
-            f"got {g.n_left} and {g.n_right}"
-        )
+    _check_trim_size(g.n_left, g.n_right, p)
     full = laplacian_mod_p(g, p).entries
     end = g.n_vertices - p
     return ReducedModelMatrix(
@@ -119,6 +123,8 @@ def build_M(n: int, alpha: float, q: float, p: int, seed: int) -> ReducedModelMa
     cut is floor(alpha*n) for the requested n, not for the enlarged sample.
     """
     enlarged = GraphModelParams(n=n + 2 * p, alpha=alpha, q=q, seed=seed)
+    # Refuse a too-small model before drawing its (n + 2p) x m edges.
+    _check_trim_size(enlarged.n, enlarged.n_right, p)
     stream = SplitMix64(seed)
     g = sample_bipartite_from_stream(enlarged, stream)
     base = build_delta1(g, p)

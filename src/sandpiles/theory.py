@@ -18,9 +18,8 @@ Exactness policy: whenever a parameter is rational, probabilities are
 computed in exact rational arithmetic and rounded to binary64 only at the
 reporting boundary.  ``conditional_mean_above``, ``expected_excess_exact`` and
 ``rank_pmf_theoretical`` convert a float alpha to its exact binary64 rational,
-so they stay exact too.  Only a :class:`BinomialSpec` with a float ``prob``
-(``binom_pmf``, ``binom_tail_gt``) takes a log-gamma path, with relative error
-comfortably below 1e-12.
+so they stay exact too.  A :class:`BinomialSpec` takes only a rational
+``prob``, so ``binom_pmf`` and ``binom_tail_gt`` are exact as well.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, islice, repeat
-from math import comb, exp, lgamma, log, pi, sqrt
+from math import comb, exp, pi, sqrt
 
 from .bigraph import floor_ratio
 from .errors import (
@@ -47,28 +46,28 @@ from .gfp import is_prime
 
 @dataclass(frozen=True)
 class BinomialSpec:
-    """A binomial distribution B(n, prob).
+    """A binomial distribution B(n, prob) with a rational ``prob``.
 
-    ``prob`` may be a ``Fraction`` (all downstream arithmetic is then exact)
-    or a float (log-gamma evaluation).
+    An int ``prob`` becomes a ``Fraction``.  A float is refused, not
+    converted: its exact binary64 value has a denominator near 2**54, which
+    makes every exact sum slow.
     """
 
     n: int
-    prob: Fraction | float
+    prob: Fraction
 
     def __post_init__(self):
         if not isinstance(self.n, int) or self.n < 0:
             raise InvalidParamsError(f"n must be an integer >= 0, got {self.n}")
         if isinstance(self.prob, int) and not isinstance(self.prob, bool):
             object.__setattr__(self, "prob", Fraction(self.prob))
-        if not isinstance(self.prob, (Fraction, float)):
-            raise InvalidParamsError(f"prob must be Fraction or float, got {self.prob!r}")
+        if not isinstance(self.prob, Fraction):
+            raise InvalidParamsError(
+                f"prob must be a Fraction, got {self.prob!r}; "
+                "pass Fraction(x) for a float's exact binary64 value"
+            )
         if not 0 <= self.prob <= 1:
             raise InvalidParamsError(f"prob must be in [0, 1], got {self.prob}")
-
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.prob, Fraction)
 
 
 def _pmf_numerator(n: int, q: Fraction, k: int) -> int:
@@ -94,37 +93,24 @@ def _pmf_numerators(n: int, q: Fraction) -> Iterator[int]:
         yield num
 
 
-def _pmf_float(n: int, q: float, k: int) -> float:
-    if q == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if q == 1.0:
-        return 1.0 if k == n else 0.0
-    log_choose = lgamma(n + 1) - lgamma(k + 1) - lgamma(n - k + 1)
-    return exp(log_choose + k * log(q) + (n - k) * log(1.0 - q))
-
-
-def binom_pmf(spec: BinomialSpec, k: int) -> Fraction | float:
-    """P(B(n, prob) = k); exact when ``prob`` is a Fraction.
+def binom_pmf(spec: BinomialSpec, k: int) -> Fraction:
+    """P(B(n, prob) = k), exact.
 
     Raises :class:`OutOfSupportError` unless 0 <= k <= n.
     """
     if not 0 <= k <= spec.n:
         raise OutOfSupportError(f"k={k} outside support [0, {spec.n}]")
-    if spec.exact:
-        return Fraction(_pmf_numerator(spec.n, spec.prob, k), spec.prob.denominator**spec.n)
-    return _pmf_float(spec.n, spec.prob, k)
+    return Fraction(_pmf_numerator(spec.n, spec.prob, k), spec.prob.denominator**spec.n)
 
 
-def binom_tail_gt(spec: BinomialSpec, s: int) -> Fraction | float:
-    """P(B(n, prob) > s); s may be any integer (s < 0 gives 1, s >= n gives 0)."""
+def binom_tail_gt(spec: BinomialSpec, s: int) -> Fraction:
+    """P(B(n, prob) > s), exact; s may be any integer (s < 0 gives 1, s >= n gives 0)."""
     if s < 0:
-        return Fraction(1) if spec.exact else 1.0
+        return Fraction(1)
     if s >= spec.n:
-        return Fraction(0) if spec.exact else 0.0
-    if spec.exact:
-        tail = sum(islice(_pmf_numerators(spec.n, spec.prob), s + 1, None))
-        return Fraction(tail, spec.prob.denominator**spec.n)
-    return sum(binom_pmf(spec, k) for k in range(s + 1, spec.n + 1))
+        return Fraction(0)
+    tail = sum(islice(_pmf_numerators(spec.n, spec.prob), s + 1, None))
+    return Fraction(tail, spec.prob.denominator**spec.n)
 
 
 def conditional_mean_above(n: int, alpha: Fraction | float, s: int) -> Fraction | float:

@@ -152,6 +152,26 @@ def test_prime_beyond_two_to_the_64_exits_two(capsys):
     assert "2**64" in err
 
 
+def test_prime_at_or_over_two_to_the_31_is_refused_before_sampling(monkeypatch, capsys):
+    def no_draw(*_args):
+        raise AssertionError("sampled before the modulus was refused")
+
+    p = "2147483659"  # the smallest prime above 2**31
+    argv = ("--n", "50", "--alpha", "0.5", "--q", "0.5", "--p", p, "--trials", "1",
+            "--seed", "1")
+    with monkeypatch.context() as m:
+        m.setattr(sandpiles.harness, "sample_bipartite", no_draw)
+        m.setattr(sandpiles.reduction, "sample_bipartite_from_stream", no_draw)
+        for kind in ("prank", "m-corank", "q-sweep"):
+            code, out, err = run_cli(capsys, "simulate", "--kind", kind, *argv)
+            assert code == 2 and out == ""
+            assert f"modulus must be < 2**31, got {p}" in err
+    # cyclicity never works mod p, so it keeps accepting that p.
+    code, out, _ = run_cli(capsys, "simulate", "--kind", "cyclicity", *argv)
+    assert code == 0
+    assert json.loads(out)["config"]["p"] == int(p)
+
+
 def test_group_on_explicit_graph(tmp_path, capsys):
     path = tmp_path / "k23.json"
     save_graph(BipartiteGraph(2, 3, np.ones((2, 3), dtype=np.int64)), path)
@@ -163,6 +183,14 @@ def test_group_on_explicit_graph(tmp_path, capsys):
     assert payload["cyclic"] is False
     assert payload["spanning_trees"] == "12"
     assert payload["n_components"] == 1
+
+
+def test_group_checks_the_tree_count_against_the_order(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k23.json"
+    save_graph(BipartiteGraph(2, 3, np.ones((2, 3), dtype=np.int64)), path)
+    monkeypatch.setattr(sandpiles.cli, "spanning_tree_count", lambda _g: 11)
+    with pytest.raises(RuntimeError, match="order 12 differs from the tree count 11"):
+        main(["group", "--edges", str(path)])
 
 
 def test_group_on_disconnected_graph(tmp_path, capsys):

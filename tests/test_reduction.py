@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sandpiles import reduction
 from sandpiles import (
     GraphModelParams,
     InvalidParamsError,
@@ -102,6 +103,16 @@ def test_build_delta1_rejects_small_graphs():
     g44 = _sample(4, 1.0, 0.5, 3)
     with pytest.raises(TooSmallError):
         build_delta1(g44, 2)
+
+
+def test_build_M_refuses_a_too_small_model_before_drawing(monkeypatch):
+    def no_draw(*_args):
+        raise AssertionError("drew the graph before the size check")
+
+    monkeypatch.setattr(reduction, "sample_bipartite_from_stream", no_draw)
+    expected = "need n_left > 202 and n_right > 202, got 212 and 106"
+    with pytest.raises(TooSmallError, match=expected):
+        build_M(10, 0.5, 0.5, 101, 1)
 
 
 def test_build_M_dimensions_and_tag():

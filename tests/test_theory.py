@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from oracles import (
@@ -37,23 +38,24 @@ from sandpiles.theory import _pmf_numerators
 # ---------------------------------------------------------------- binomials
 
 
-def test_binomial_spec_exactness_flag():
-    assert BinomialSpec(10, Fraction(1, 2)).exact
-    assert BinomialSpec(10, 1).exact  # int probability coerces to Fraction
-    assert not BinomialSpec(10, 0.5).exact
+def test_binomial_spec_takes_only_rationals():
+    assert BinomialSpec(10, Fraction(1, 2)).prob == Fraction(1, 2)
+    spec = BinomialSpec(10, 1)  # an int probability becomes a Fraction
+    assert isinstance(spec.prob, Fraction) and spec.prob == 1
+    for prob in (0.5, np.float64(0.5), True, "0.5"):
+        with pytest.raises(InvalidParamsError, match="Fraction"):
+            BinomialSpec(10, prob)
     with pytest.raises(InvalidParamsError):
         BinomialSpec(-1, Fraction(1, 2))
     with pytest.raises(InvalidParamsError):
         BinomialSpec(10, Fraction(3, 2))
 
 
-def test_binom_pmf_exact_and_float_paths():
+def test_binom_pmf_exact():
     spec = BinomialSpec(4, Fraction(1, 2))
     assert binom_pmf(spec, 2) == Fraction(3, 8)
+    assert isinstance(binom_pmf(spec, 2), Fraction)
     assert sum(binom_pmf(spec, k) for k in range(5)) == 1
-    approx = binom_pmf(BinomialSpec(4, 0.5), 2)
-    assert isinstance(approx, float)
-    assert abs(approx - 0.375) < 1e-15
 
 
 def test_binom_pmf_rejects_out_of_support():
@@ -68,21 +70,6 @@ def test_binom_pmf_degenerate_probabilities():
     assert binom_pmf(BinomialSpec(5, Fraction(0)), 0) == 1
     assert binom_pmf(BinomialSpec(5, Fraction(0)), 3) == 0
     assert binom_pmf(BinomialSpec(5, Fraction(1)), 5) == 1
-    assert binom_pmf(BinomialSpec(5, 0.0), 0) == 1.0
-    assert binom_pmf(BinomialSpec(5, 1.0), 4) == 0.0
-
-
-def test_binom_pmf_float_close_to_exact_sweep():
-    stream = SplitMix64(2718)
-    for _ in range(60):
-        n = 1 + stream.next_below(60)
-        num = stream.next_below(1000) + 1
-        alpha = Fraction(num, 1001)
-        k = stream.next_below(n + 1)
-        exact = binom_pmf(BinomialSpec(n, alpha), k)
-        approx = binom_pmf(BinomialSpec(n, float(alpha)), k)
-        if exact > 0:
-            assert abs(approx - float(exact)) <= 1e-12 * float(exact)
 
 
 def test_binom_tail_cases():
@@ -92,8 +79,7 @@ def test_binom_tail_cases():
     assert binom_tail_gt(spec, 3) == Fraction(1, 16)
     assert binom_tail_gt(spec, 4) == 0
     assert binom_tail_gt(spec, 99) == 0
-    f = binom_tail_gt(BinomialSpec(4, 0.5), 1)
-    assert isinstance(f, float) and abs(f - 11 / 16) < 1e-15
+    assert all(isinstance(binom_tail_gt(spec, s), Fraction) for s in (-1, 1, 4))
 
 
 def test_tail_complements_pmf_sum():
