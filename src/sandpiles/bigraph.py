@@ -7,9 +7,11 @@ right, and all matrices in the package use that ordering.
 
 Sampling is fully deterministic given the seed: the edge indicators are read
 row-major from a single splitmix64 stream, one uniform draw per potential
-edge, whether or not the edge appears.  Two graphs from equal parameters are
-therefore identical, and constructions that extend a graph (extra diagonal
-draws, say) can share its stream position.
+edge, whether or not the edge appears.  An edge is present when its uniform
+is below q, decided on the integer draw against an exact threshold
+(:meth:`SplitMix64.next_bernoulli_block`), with no float array.  Two graphs
+from equal parameters are therefore identical, and constructions that extend
+a graph (extra diagonal draws, say) can share its stream position.
 
 ``floor(alpha*n)`` is computed through exact rational arithmetic on the
 binary64 value of alpha, so e.g. alpha=0.3, n=10 gives the floor of the exact
@@ -154,8 +156,8 @@ def sample_bipartite_from_stream(
     can continue reading from the same stream position.
     """
     n_left, n_right = params.n, params.n_right
-    u = stream.next_uniform_block(n_left * n_right).reshape(n_left, n_right)
-    return BipartiteGraph(n_left, n_right, (u < params.q).astype(np.int64))
+    edges = stream.next_bernoulli_block(n_left * n_right, params.q)
+    return BipartiteGraph(n_left, n_right, edges.reshape(n_left, n_right))
 
 
 def _degrees(g: BipartiteGraph) -> np.ndarray:
@@ -207,11 +209,19 @@ def reduced_laplacian(g: BipartiteGraph, drop: int) -> IntegerMatrix:
 
 def connected_components(g: BipartiteGraph) -> list[set[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
-    n = g.n_vertices
-    left, right = np.nonzero(g.biadjacency)
-    adjacency = csr_matrix(
-        (np.ones(left.size, dtype=np.int8), (left, right + g.n_left)), shape=(n, n)
-    )
+    n_left, n_right, n = g.n_left, g.n_right, g.n_vertices
+    # The CSR of the left-to-right edges is built straight from the row-major
+    # flat positions of the edges: left row i owns the positions in
+    # [i * n_right, (i + 1) * n_right), and the right vertices' rows are
+    # empty, which an undirected search does not mind.  flatnonzero runs on
+    # a bool mask, several times faster than on the int64 array, and the
+    # float64 weights are the type csgraph converts to anyway.
+    flat = np.flatnonzero(g.biadjacency != 0)
+    indptr = np.full(n + 1, flat.size, dtype=np.int64)
+    indptr[: n_left + 1] = np.searchsorted(flat, np.arange(n_left + 1) * n_right)
+    flat %= n_right
+    flat += n_left
+    adjacency = csr_matrix((np.ones(flat.size), flat, indptr), shape=(n, n))
     count, labels = csgraph.connected_components(adjacency, directed=False)
     # A stable sort groups vertices by label and keeps each group ascending,
     # so the first entry of a group is its smallest vertex.

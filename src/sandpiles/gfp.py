@@ -16,11 +16,14 @@ cuts its four blocks from the residue array with ``np.ix_``.  A diagonal
 block is solved in closed form instead, as a row scaling by the inverted
 diagonal: the D1 block of the paper's reduced Laplacians is diagonal.  Over
 GF(2) the rank alone has a faster path: rows packed into Python integers and
-eliminated with xor.  Both loops also give kernels: eliminating ``a^T`` inside
-``[a^T | I]`` leaves rows whose ``a^T`` part is zero, and their identity part
-spans the kernel of ``a``.  The test-suite checks both rank paths against
-minor and row-reduction oracles, the kernel against ``a @ N^T = 0`` and its
-dimension, and the Schur complement against determinant quotients.
+eliminated with xor, each pivot keyed by its highest set bit.  Both loops
+also give kernels: eliminating ``a^T`` inside ``[a^T | I]`` leaves rows whose
+``a^T`` part is zero, and their identity part spans the kernel of ``a``.  At
+p = 2 the layout is ``[I | a^T]``, identity in the low bits, so those rows
+are the pivots whose top bit lies in the identity part.  The test-suite
+checks both rank paths against minor and row-reduction oracles, the kernel
+against ``a @ N^T = 0`` and its dimension, and the Schur complement against
+determinant quotients.
 
 Reduction mod p is lazy where int64 allows it.  Each elimination step
 reduces only the pivot column and the pivot row and subtracts
@@ -36,6 +39,7 @@ Python ints beyond.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,12 +86,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# Every matrix checks its modulus, and a run uses a few moduli over and over
+# (its p, the Smith form's lifting prime), so each is tested once.
+_is_prime_cached = lru_cache(maxsize=64)(is_prime)
+
+
 def _check_prime(p: int) -> None:
     if not isinstance(p, int) or isinstance(p, bool):
         raise NotPrimeError(f"modulus must be an int, got {type(p).__name__}")
     if p >= _MAX_PRIME:
         raise NotPrimeError(f"modulus must be < 2**31, got {p}")
-    if not is_prime(p):
+    if not _is_prime_cached(p):
         raise NotPrimeError(f"modulus must be prime, got {p}")
 
 
@@ -173,20 +182,22 @@ def _pack_gf2_rows(bits: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _xor_pivots(rows: list[int]) -> dict[int, int]:
-    """Xor-eliminate bit-packed rows; returns lowest set bit -> pivot row.
+def _xor_pivots(rows: list[int], width: int) -> list[int]:
+    """Xor-eliminate bit-packed rows; returns the pivot row of each top bit, or 0.
 
-    Each row is reduced by the pivots already found until its lowest set bit
-    is new (it becomes a pivot) or nothing is left (it was dependent).  The
-    pivots are independent and span the same space as ``rows``.
+    Each row is reduced by the pivots already found until its highest set
+    bit is new (it becomes the pivot of that bit) or nothing is left (it was
+    dependent).  Every xor clears the row's top bit, so the loop needs only
+    ``bit_length``.  The pivots are independent and span the same space as
+    ``rows``, whose bits all lie below ``width``.
     """
-    pivots: dict[int, int] = {}
+    pivots = [0] * width
     for row in rows:
         while row:
-            low = (row & -row).bit_length() - 1
-            piv = pivots.get(low)
-            if piv is None:
-                pivots[low] = row
+            top = row.bit_length() - 1
+            piv = pivots[top]
+            if not piv:
+                pivots[top] = row
                 break
             row ^= piv
     return pivots
@@ -194,7 +205,8 @@ def _xor_pivots(rows: list[int]) -> dict[int, int]:
 
 def _rank_gf2(bits: np.ndarray) -> int:
     """Rank over GF(2) by xor-elimination on bit-packed rows."""
-    return len(_xor_pivots(_pack_gf2_rows(bits)))
+    pivots = _xor_pivots(_pack_gf2_rows(bits), bits.shape[1])
+    return len(pivots) - pivots.count(0)
 
 
 def _echelon(a: np.ndarray, p: int, cols: int, pivot_rows: int) -> tuple[int, int]:
@@ -275,21 +287,23 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Residue rows spanning ``{x : a @ x = 0 mod p}``, as a k x cols array.
 
-    Eliminates the first ``rows`` columns of ``[a^T | I_cols]`` with pivots
-    from all of its rows.  Row operations keep the identity part equal to
-    the combination of rows of ``a^T`` that the row holds, so the rows whose
-    ``a^T`` part comes out zero carry kernel vectors; they are independent,
-    and there are cols - rank(a) of them.  Over GF(2) the augmented rows are
-    packed into integers and run through the xor loop, whose pivots with
-    lowest bit at or past ``rows`` are those rows.
+    Row operations on an augmented matrix keep its identity part equal to
+    the combination of rows of ``a^T`` that each row holds, so the rows
+    whose ``a^T`` part comes out zero carry kernel vectors; they are
+    independent, and there are cols - rank(a) of them.  For p > 2 the first
+    ``rows`` columns of ``[a^T | I_cols]`` are eliminated with pivots from
+    all of its rows.  Over GF(2) the rows of ``[I_cols | a^T]`` are packed
+    into integers, identity part in the low bits, and run through the xor
+    loop: its pivots with top bit below ``cols`` are those rows.
     """
     rows, cols = a.shape
-    w = np.concatenate([a.T, np.eye(cols, dtype=np.int64)], axis=1)
     if p != 2:
+        w = np.concatenate([a.T, np.eye(cols, dtype=np.int64)], axis=1)
         r, _ = _echelon(w, p, rows, cols)
         return w[r:, rows:]
-    pivots = _xor_pivots(_pack_gf2_rows(w))
-    kernel = [row >> rows for low, row in pivots.items() if low >= rows]
+    # Row i of [I_cols | a^T]: bit i, then column i of ``a`` from bit cols on.
+    augmented = [(column << cols) | (1 << i) for i, column in enumerate(_pack_gf2_rows(a.T))]
+    kernel = [row for row in _xor_pivots(augmented, cols + rows)[:cols] if row]
     nbytes = (cols + 7) // 8
     packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in kernel), np.uint8)
     bits = np.unpackbits(packed.reshape(len(kernel), nbytes), axis=1, count=cols, bitorder="little")

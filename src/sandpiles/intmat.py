@@ -44,6 +44,7 @@ larger ones on Python ints.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice
 from math import gcd, isqrt, prod
 
@@ -200,9 +201,21 @@ def _smith_diagonal(a: np.ndarray, modulus: int) -> tuple[int, ...]:
     return normalize_divisor_chain(diag)
 
 
+@cache
+def _prime_below(bound: int) -> int:
+    """The largest prime below ``bound``, for ``bound`` > 2.
+
+    The lifting and CRT primes are the same few values in every call, so
+    each is searched for and tested once per process.
+    """
+    return next(q for q in range(bound - 1, 1, -1) if is_prime(q))
+
+
 def _primes_below(bound: int):
     """Primes below ``bound``, largest first."""
-    return (q for q in range(bound - 1, 1, -1) if is_prime(q))
+    while bound > 2:
+        bound = _prime_below(bound)
+        yield bound
 
 
 # Lifting primes tried before a matrix counts as singular and runs the plain

@@ -16,6 +16,9 @@ Every experiment in this package derives one independent stream per trial via
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import ceil
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -47,7 +50,8 @@ class SplitMix64:
     """A sequential splitmix64 stream.
 
     Scalar draws (:meth:`next_u64`, :meth:`next_below`) and vectorised block
-    draws (:meth:`next_block`, :meth:`next_uniform_block`) interleave freely
+    draws (:meth:`next_block`, :meth:`next_uniform_block`,
+    :meth:`next_bernoulli_block`) interleave freely
     and consume the same underlying sequence, so "draw all edges as a block,
     then draw diagonal entries one by one" is well defined and reproducible.
     """
@@ -67,16 +71,35 @@ class SplitMix64:
         """Return the next ``count`` outputs as a uint64 array."""
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
-        steps = np.arange(1, count + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + steps * np.uint64(_GAMMA)
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
         self._state = (self._state + count * _GAMMA) & _MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        return z ^ (z >> np.uint64(31))
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        return z
 
     def next_uniform_block(self, count: int) -> np.ndarray:
         """Return ``count`` uniform floats in [0, 1) with 53-bit resolution."""
         return (self.next_block(count) >> np.uint64(11)) * 2.0**-53
+
+    def next_bernoulli_block(self, count: int, q: float | Fraction) -> np.ndarray:
+        """Return ``next_uniform_block(count) < q`` as a bool array, without floats.
+
+        Each uniform is k * 2**-53 for the integer k = output >> 11, so
+        ``k * 2**-53 < q`` exactly when ``k < ceil(q * 2**53)``.  ``q`` may be
+        a float, whose binary64 value is taken exactly, or a rational; below
+        0 or above 1 the threshold is clamped, so every draw is False or
+        True, as in the float comparison.  The stream advances by ``count``,
+        as for the uniforms.
+        """
+        threshold = min(max(ceil(Fraction(q) * 2**53), 0), 2**53)
+        k = self.next_block(count)
+        k >>= np.uint64(11)
+        return k < np.uint64(threshold)
 
     def next_below(self, bound: int) -> int:
         """Return a uniform integer in ``[0, bound)`` by rejection sampling.

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from sandpiles import (
     InvalidParamsError,
     InvalidShapeError,
     SplitMix64,
+    build_M,
     connected_components,
     floor_ratio,
     graph_from_json,
@@ -111,6 +113,27 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     assert a != c
 
 
+def test_sampled_graphs_are_pinned():
+    # sha256 of biadjacency.tobytes(); a change to the edge draw, its
+    # threshold or the stream layout changes these.
+    cases = {
+        (40, 0.5, 0.5, 1): "a1e8bbf80472fbfeb4ce48c78e7a8312a832c6752743f63941bb6480cd59c566",
+        (37, 0.75, 0.3, 2): "24b7dc7d8ecdc2106dfd5e8b75e26c0bef22ad178b21de2b6212ce050ef7bb35",
+        (200, 0.25, 0.02, 3): "3b9e8c989a4fb4575e903cf4f8f2f2ecad4fb743386a9264e0d3d1f2cb66bbbf",
+        (13, Fraction(1, 3), 0.3, 2**64 - 1): "185c46449a09d8fb23ed2d69663b20fa0fcf43c8efc8645febb30b1ba2172820",
+    }
+    for (n, alpha, q, seed), want in cases.items():
+        g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=seed))
+        assert g.biadjacency.dtype == np.int64
+        assert hashlib.sha256(g.biadjacency.tobytes()).hexdigest() == want, (n, alpha, q, seed)
+    # build_M draws its diagonal from the same stream after the edges.
+    m = build_M(30, 0.5, 0.3, 3, 11).matrix.entries
+    assert m.shape == (48, 48)
+    assert hashlib.sha256(m.tobytes()).hexdigest() == (
+        "185640fddb3bf1234636806f0bfa4f1e977bb116afa0871f753090638a8485f1"
+    )
+
+
 def test_sampling_from_stream_matches_seeded_sampling():
     params = GraphModelParams(n=9, alpha=Fraction(2, 3), q=0.5, seed=77)
     direct = sample_bipartite(params)
@@ -179,20 +202,36 @@ def test_connected_components_cases():
     assert connected_components(two_blocks) == [{0, 2}, {1, 3}]
     empty = BipartiteGraph(2, 2, np.zeros((2, 2), dtype=np.int64))
     assert connected_components(empty) == [{0}, {1}, {2}, {3}]
+    # The last left vertex isolated: its CSR row is empty at the tail.
+    last_left_alone = BipartiteGraph(3, 2, np.array([[1, 1], [0, 1], [0, 0]]))
+    assert connected_components(last_left_alone) == [{0, 1, 3, 4}, {2}]
+    # Isolated right vertices, the last one among them.
+    right_alone = BipartiteGraph(2, 4, np.array([[0, 1, 0, 0], [0, 1, 0, 0]]))
+    assert connected_components(right_alone) == [{0, 1, 3}, {2}, {4}, {5}]
+    # One right vertex: every flat position maps to it.
+    one_right = BipartiteGraph(4, 1, np.array([[1], [0], [1], [1]]))
+    assert connected_components(one_right) == [{0, 2, 3, 4}, {1}]
+    # A single edge, on the last right vertex.
+    last_edge = np.zeros((3, 5), dtype=np.int64)
+    last_edge[1, 4] = 1
+    assert connected_components(BipartiteGraph(3, 5, last_edge)) == [
+        {0}, {1, 7}, {2}, {3}, {4}, {5}, {6},
+    ]
 
 
 def test_connected_components_match_bfs_oracle():
     # Sparse q leaves isolated vertices and many components; q = 0.5 leaves
     # one.  Both the sets and their order must agree with the BFS.
     counts = set()
-    for q in (0.02, 0.1, 0.5):
-        for seed in range(8):
-            params = GraphModelParams(n=40 + 7 * seed, alpha=0.75, q=q, seed=seed)
-            g = sample_bipartite(params)
-            comps = connected_components(g)
-            assert comps == components_by_bfs(g)
-            assert all(type(v) is int for comp in comps for v in comp)
-            counts.add(len(comps))
+    for alpha in (0.125, 0.75, 1):
+        for q in (0.02, 0.1, 0.5):
+            for seed in range(8):
+                params = GraphModelParams(n=40 + 7 * seed, alpha=alpha, q=q, seed=seed)
+                g = sample_bipartite(params)
+                comps = connected_components(g)
+                assert comps == components_by_bfs(g)
+                assert all(type(v) is int for comp in comps for v in comp)
+                counts.add(len(comps))
     assert 1 in counts and max(counts) > 20
 
 

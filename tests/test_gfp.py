@@ -287,6 +287,22 @@ def test_inverse_round_trip_with_lazy_reduction_on_and_off():
             assert np.array_equal(prod % p, np.eye(size, dtype=np.int64))
 
 
+def _gf2_structured_cases(stream: SplitMix64) -> list[np.ndarray]:
+    """0/1 matrices that hit the corners of the packed xor loop.
+
+    Zero, duplicate and xor-dependent rows, widths that are not a multiple
+    of 8 and widths above 64 bits; plus all-zero and 0-row matrices.
+    """
+    cases = []
+    for cols in (1, 7, 9, 63, 64, 65, 70, 131):
+        a = random_uniform_matrix(stream, 6, cols, 2).entries
+        rows = [a[0], np.zeros(cols, dtype=np.int64), a[1], a[0], a[1] ^ a[2], a[2]]
+        cases.append(np.array(rows + list(a[3:]), dtype=np.int64))
+        cases.append(np.zeros((3, cols), dtype=np.int64))
+        cases.append(np.zeros((0, cols), dtype=np.int64))
+    return cases
+
+
 def test_gf2_bit_path_matches_generic_elimination():
     stream = SplitMix64(272)
     for _ in range(150):
@@ -294,14 +310,24 @@ def test_gf2_bit_path_matches_generic_elimination():
         cols = 1 + stream.next_below(8)
         m = random_uniform_matrix(stream, rows, cols, 2)
         assert rank_mod_p(m) == _echelon(m.entries.copy(), 2, cols, rows)[0]
+    for a in _gf2_structured_cases(stream):
+        rows, cols = a.shape
+        rank = rank_mod_p(PrimeFieldMatrix(2, a))
+        assert rank == _echelon(a.copy(), 2, cols, rows)[0], a.shape
+        assert rank == rank_by_row_reduction(a.tolist(), 2), a.shape
+        assert rank_mod_p(PrimeFieldMatrix(2, a.T)) == rank, a.shape
 
 
 def test_kernel_basis_spans_the_kernel_with_independent_rows():
     # Random matrices, and products of (rows x r) and (r x cols) factors for
-    # kernels larger than cols - rows; plus a 0-row and a zero matrix.
+    # kernels larger than cols - rows; plus a 0-row and a zero matrix, and
+    # at p = 2 the structured cases and their transposes.
     stream = SplitMix64(1313)
     for p in (2, 3, 5, 7, 2**31 - 1):
         cases = [np.zeros((0, 5), dtype=np.int64), np.zeros((4, 6), dtype=np.int64)]
+        if p == 2:
+            cases += _gf2_structured_cases(stream)
+            cases += [a.T for a in _gf2_structured_cases(stream)]
         for _ in range(16):
             rows = 1 + stream.next_below(12)
             cols = 1 + stream.next_below(12)

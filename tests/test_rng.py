@@ -43,6 +43,20 @@ def test_uniform_block_range_and_value():
     assert u[0] == expect
 
 
+def test_bernoulli_block_equals_the_uniform_comparison():
+    # 1 - 2**-53 and the subnormals put the threshold at its two ends; the
+    # next two q equal the first uniform and the next float above it; the
+    # rest lie on or outside [0, 1].
+    first = (SplitMix64(808).next_u64() >> 11) * 2.0**-53
+    for q in (0.5, 0.3, 1 - 2**-53, 1e-300, 5e-324, first, first + 2**-53, 0.0, 1.0, -0.5, 3.0):
+        for count in (0, 1, 257):
+            a, b = SplitMix64(808), SplitMix64(808)
+            got = a.next_bernoulli_block(count, q)
+            assert got.dtype == bool and got.shape == (count,)
+            assert (got == (b.next_uniform_block(count) < q)).all(), (q, count)
+            assert a.next_u64() == b.next_u64(), (q, count)
+
+
 def test_uniform_block_mean_is_plausible():
     u = SplitMix64(2024).next_uniform_block(20000)
     assert abs(u.mean() - 0.5) < 0.01
