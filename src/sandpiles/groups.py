@@ -28,28 +28,34 @@ oracle takes the whole corank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import isqrt, prod
 
 import numpy as np
 
 from .bigraph import BipartiteGraph, connected_components, reduced_laplacian
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
 from .gfp import PrimeFieldMatrix, _kernel_basis, _matmul_mod, corank_mod_p, is_prime
-from .intmat import _bareiss, normalize_divisor_chain, smith_form_by_largest_factor
+from .intmat import (
+    _covering_primes,
+    _crt_signed,
+    _det_mod_primes,
+    normalize_divisor_chain,
+    smith_form_by_largest_factor,
+)
 
 # Largest component, in vertices, whose exact Smith form is attempted.  At
-# q = 0.5 on a 2-core host one Smith form took at most 1.5 s up to 400
-# vertices; the tree count sets the cost of the ``group`` command:
+# q = 0.5, seeds 1-3, on a 2-core host:
 #
-#   vertices  alpha  seeds 1-3, Smith + trees      tree count alone
-#   350       1      26-28 s (in process)          25-28 s
-#   350       1/4    2.7-2.8 s (in process)        1.8-1.9 s
-#   400       1      58.5 / 60.1 / 61.1 s (CLI)    48-56 s
-#   400       1/4    6.5-6.9 s (CLI)               3.3-3.7 s
+#   vertices  alpha  Smith + trees  tree count alone  group CLI   peak RSS (CLI)
+#   350       1      1.1-1.7 s      0.69-0.77 s       2.1-2.5 s   120-122 MB
+#   350       1/4    1.0-1.1 s      0.12-0.14 s       1.9-2.0 s   77 MB
+#   400       1      2.1-2.5 s      1.3-1.4 s         2.6-3.2 s   149-150 MB
+#   400       1/4    1.4-1.6 s      0.17 s            2.2-2.4 s   81 MB
 #
-# The CLI rows time the whole command.  Bareiss on the whole reduced
-# Laplacian took 44-46 s at 350 vertices and alpha = 1.  Runs at 400
-# vertices and alpha = 1 reach 60 s, so the guard stays at 350.
+# The first two columns are timed in process, the CLI column times the whole
+# ``group`` command (400-vertex rows with the guard raised to 400).  Every
+# accepted size takes seconds; the guard stays at 350 until ``group`` and
+# ``cyclicity`` are given guards of their own.
 SNF_VERTEX_GUARD = 350
 
 
@@ -188,20 +194,50 @@ def is_cyclic(g: BipartiteGraph) -> bool:
     return sandpile_group(g).is_cyclic
 
 
+def _schur_block_mod_primes(kept: np.ndarray, degrees: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """S mod each prime, as an int64 stack of shape (primes, m, m).
+
+    S = diag(D) - sum_d (d^-1 mod q) * B_d^T B_d, with ``kept`` the
+    biadjacency B from the larger part (rows of degrees ``degrees``) to the
+    m kept vertices.  The Gram blocks are built once, and one matrix product
+    of the inverses (primes x degrees) with the flattened blocks
+    (degrees x m^2) weights them for every prime, so no
+    (primes x degrees x m x m) array is formed.
+    """
+    m = kept.shape[1]
+    levels, which = np.unique(degrees, return_inverse=True)
+    rows = kept.astype(np.float64)
+    grams = np.stack([rows[which == i].T @ rows[which == i] for i in range(levels.size)])
+    inverses = np.array([[pow(int(d), -1, int(q)) for d in levels] for q in moduli])
+    # Entry (i, j) of the product is at most (q - 1) * (B^T B)[i, j], below
+    # 2**27 times the row count: exact in float64 below 2**26 rows, and in
+    # int64 for any graph that fits in memory.
+    exact = np.float64 if len(kept) < 2**26 else np.int64
+    stack = inverses.astype(exact) @ grams.reshape(levels.size, m * m).astype(exact, copy=False)
+    np.subtract(np.diag(kept.sum(axis=0)).ravel(), stack, out=stack)
+    stack = stack.astype(np.int64)
+    stack %= moduli[:, None]
+    return stack.reshape(len(moduli), m, m)
+
+
 def spanning_tree_count(g: BipartiteGraph) -> int:
     """Number of spanning trees, via the matrix-tree theorem.
 
     The determinant of the reduced Laplacian that drops the last vertex of
     the smaller part.  The larger part's block of that Laplacian is the
-    diagonal of its degrees d_i, so Bareiss elimination of those rows would
-    leave the divisor P = prod(d_i) and the block P * S, where
-    S = D - B^T diag(1/d) B is the Schur complement on the rest of the
-    smaller part (degrees D, biadjacency B from the larger part).  That
-    block is built directly, one int64 B_d^T B_d per distinct degree d
-    weighted by P / d, and Bareiss goes on from it; exact, in Python ints,
-    and apart from the Smith route.  Raises :class:`DisconnectedError` when
-    the graph is disconnected (the determinant would be 0 and the sandpile
-    group order would not equal a tree count).
+    diagonal of its degrees d_i, so eliminating it in closed form leaves
+    prod(d_i) * det S, where S = D - B^T diag(1/d) B is the Schur complement
+    on the rest of the smaller part (degrees D, biadjacency B from the
+    larger part).  Mod a prime q that divides no d_i,
+    S = diag(D) - sum_d (d^-1 mod q) * B_d^T B_d over the distinct degrees
+    d, with the Gram blocks B_d^T B_d built once for all primes.  det S is
+    taken mod every prime below 2**27 needed to cover twice the column
+    Hadamard bound of the reduced Laplacian, in one elimination of the whole
+    stack, and the count comes back by CRT.  The route shares only the prime
+    walk and the CRT step with the Smith route; its matrix, primes, bound and
+    elimination are its own.  Raises :class:`DisconnectedError` when the
+    graph is disconnected (the determinant would be 0 and the sandpile group
+    order would not equal a tree count).
     """
     if len(connected_components(g)) != 1:
         raise DisconnectedError("spanning trees are defined for connected graphs only")
@@ -210,11 +246,15 @@ def spanning_tree_count(g: BipartiteGraph) -> int:
     degrees = larger.sum(axis=1)
     kept = larger[:, :-1]
     product = prod(degrees.tolist())
-    trailing = np.diag(kept.sum(axis=0)).astype(object) * product
-    for d in np.unique(degrees):
-        rows = kept[degrees == d]
-        trailing -= (rows.T @ rows).astype(object) * (product // int(d))
-    det = _bareiss(trailing, product)
+    # Squared column norms of the reduced Laplacian: a degree on the
+    # diagonal and one -1 per kept neighbour.
+    kept_degrees = kept.sum(axis=0)
+    norms = (degrees**2 + kept.sum(axis=1)).tolist() + (kept_degrees**2 + kept_degrees).tolist()
+    primes = _covering_primes(2**27, 2 * (isqrt(prod(norms)) + 1), product)
+    moduli = np.array(primes, dtype=np.int64)
+    dets = _det_mod_primes(_schur_block_mod_primes(kept, degrees, moduli), moduli)
+    scale = np.array([product % q for q in primes], dtype=np.int64)
+    det = _crt_signed(dets * scale % moduli, primes)
     if det <= 0:
         raise RuntimeError(
             f"reduced Laplacian of a connected graph has determinant {det}, not > 0"

@@ -1,4 +1,4 @@
-"""Exact integer matrices: Smith normal form and fraction-free determinants.
+"""Exact integer matrices: Smith normal form, and determinants by Bareiss and by CRT.
 
 Entries live in numpy object arrays holding Python ints, so nothing here can
 overflow no matter how large the intermediate values grow (Smith form pivots
@@ -40,6 +40,15 @@ s_(N-1) always divides gcd(m, c K) with K = m / (t_1 ... t_(N-1)), so the
 result stands when that divides the modulus, and otherwise one more run
 modulo gcd(m, c K) is exact.  Moduli below 2**31 run on int64 residues,
 larger ones on Python ints.
+
+Two CRT steps share :func:`_crt_signed`, which rebuilds a signed integer
+from its residues: step 2 above, and the tree count in ``groups``, which
+takes the determinant of its own matrix mod primes below 2**27.  That count
+needs 14-19 primes at 90-105 vertices and 84 at 350, so
+:func:`_det_mod_primes` eliminates all of them in one loop over an int64
+stack of shape (primes x n x n), one prime per layer; step 2 needs one or
+two primes and keeps ``_det_mod_p``.  :func:`determinant` is the Bareiss
+reference that ``verify`` and the tests compare with.
 """
 
 from __future__ import annotations
@@ -282,21 +291,85 @@ def _solution_denominator(a: np.ndarray, b: np.ndarray, hadamard: int) -> int | 
     return c
 
 
+def _covering_primes(below: int, bound: int, avoid: int) -> list[int]:
+    """Primes below ``below``, largest first, that do not divide ``avoid``.
+
+    As few as make their product exceed ``bound``.
+    """
+    primes, product = [], 1
+    candidates = _primes_below(below)
+    while product <= bound:
+        q = next(candidates)
+        if avoid % q:
+            primes.append(q)
+            product *= q
+    return primes
+
+
+def _crt_signed(residues, primes) -> int:
+    """The integer in (-P/2, P/2] that is ``residues[i]`` mod ``primes[i]``.
+
+    P is the product of the (distinct) primes; Garner's mixed-radix steps,
+    one prime at a time.
+    """
+    value, product = 0, 1
+    for residue, q in zip(residues, primes):
+        value += product * ((int(residue) - value) * pow(product, -1, q) % q)
+        product *= q
+    return value - product if value > product // 2 else value
+
+
 def _determinant_quotient(a: np.ndarray, c: int, bound: int) -> int:
     """det(a) / c, given that c divides it and |det(a) / c| <= ``bound``.
 
     CRT over 31-bit primes that do not divide c, as few as cover 2 * bound.
     """
-    value, product = 0, 1
-    primes = _primes_below(2**31)
-    while product <= 2 * bound:
-        q = next(primes)
-        if c % q == 0:
-            continue
-        residue = _det_mod_p(a % q, q) * pow(c, -1, q) % q
-        value += product * ((residue - value) * pow(product, -1, q) % q)
-        product *= q
-    return value - product if value > product // 2 else value
+    primes = _covering_primes(2**31, 2 * bound, c)
+    return _crt_signed([_det_mod_p(a % q, q) * pow(c, -1, q) % q for q in primes], primes)
+
+
+def _det_mod_primes(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
+    """Determinant of layer i of ``a`` mod ``primes[i]``, for every layer at once.
+
+    ``a`` is an int64 stack of shape (k, n, n), layer i holding residues in
+    [0, primes[i]), and is eliminated in place; ``primes`` holds k primes
+    below 2**31.  Each column step runs on the whole stack: every layer
+    takes its first nonzero entry mod its prime at or below the diagonal as
+    pivot, the layers whose pivot lies lower swap it up (each swap negates
+    that layer's determinant), and the rows below are cleared.  A layer with
+    no pivot in a column is singular mod its prime: its determinant is 0 and
+    its later updates are zero.  The rows below a pivot are reduced lazily,
+    under the bound of ``gfp._echelon`` for the largest prime.
+    """
+    k, n = a.shape[0], a.shape[-1]
+    q = np.asarray(primes, dtype=np.int64)
+    per_row = q[:, None]
+    largest = int(q.max(initial=2))
+    lazy = (largest - 1) * (1 + n * (largest - 1)) < 2**63
+    det = np.ones(k, dtype=np.int64)
+    flips = np.zeros(k, dtype=bool)
+    for c in range(n):
+        col = a[:, c:, c] % per_row
+        first = (col != 0).argmax(axis=1)
+        swap = np.flatnonzero(first)
+        if swap.size:
+            below = c + first[swap]
+            top = a[swap, c, c:]
+            a[swap, c, c:] = a[swap, below, c:]
+            a[swap, below, c:] = top
+            col[swap, 0] = col[swap, first[swap]]
+            col[swap, first[swap]] = 0
+            flips[swap] ^= True
+        a[:, c, c:] %= per_row
+        pivots = col[:, 0]
+        det = det * pivots % q
+        inverses = [pow(int(v), -1, int(p)) if v else 0 for v, p in zip(pivots, q)]
+        factors = col[:, 1:] * np.array(inverses, dtype=np.int64)[:, None] % per_row
+        block = a[:, c + 1 :, c + 1 :]
+        block -= factors[:, :, None] * a[:, c, None, c + 1 :]
+        if not lazy:
+            block %= per_row[:, :, None]
+    return np.where(flips, (q - det) % q, det)
 
 
 def smith_form_by_largest_factor(m: IntegerMatrix) -> tuple[int, ...]:
@@ -364,22 +437,11 @@ def determinant(m: IntegerMatrix) -> int:
     """
     if m.rows != m.cols:
         raise DimensionMismatchError(f"determinant needs a square matrix, got {m!r}")
-    return _bareiss(np.array(m.entries, dtype=object), 1)
-
-
-def _bareiss(a: np.ndarray, prev: int) -> int:
-    """Finish a Bareiss elimination whose last pivot was ``prev``; eliminates in ``a``.
-
-    From ``prev`` = 1, ``a`` is any square object array and the result is its
-    determinant.  By Sylvester's identity, Bareiss on a matrix [[X, Y], [Z, W]]
-    holds ``det(X) * (W - Z X^-1 Y)`` once the pivots of a nonsingular leading
-    block X are done, and the divisor ``det(X)``; from that block and
-    ``prev`` = det(X) the result is the determinant of the whole matrix.
-    """
+    a = np.array(m.entries, dtype=object)
     n = a.shape[0]
     if n == 0:
-        return prev
-    sign = 1
+        return 1
+    sign, prev = 1, 1
     for r in range(n - 1):
         if a[r, r] == 0:
             hits = np.nonzero(a[r + 1 :, r])[0]

@@ -213,9 +213,9 @@ def check_smith_form_oracles(seed: int = 991) -> CheckResult:
 
     ``sandpile_group`` takes the largest-invariant-factor route per
     component; on a few seeded graphs it must match the plain Smith loop
-    on the whole Laplacian.  ``spanning_tree_count`` starts Bareiss from the
-    Schur complement of the larger part; on the connected ones it must match
-    Bareiss on the whole reduced Laplacian.
+    on the whole Laplacian.  ``spanning_tree_count`` takes the determinant of
+    the Schur complement of the larger part mod many primes, by CRT; on the
+    connected ones it must match Bareiss on the whole reduced Laplacian.
     """
     problems: list[str] = []
 

@@ -380,11 +380,20 @@ def test_spanning_tree_count_of_complete_bipartite_graphs():
     for a in range(1, 7):
         for b in range(1, 7):
             assert spanning_tree_count(complete_bipartite(a, b)) == a ** (b - 1) * b ** (a - 1)
+    # Counts of 440 to 770 bits: at least 17 CRT primes below 2**27 each.
+    for a, b in ((30, 57), (57, 30), (64, 64)):
+        want = a ** (b - 1) * b ** (a - 1)
+        assert want.bit_length() > 16 * 27
+        assert spanning_tree_count(complete_bipartite(a, b)) == want
 
 
 def test_spanning_tree_count_rejects_non_positive_determinant(monkeypatch):
-    monkeypatch.setattr(groups_mod, "_bareiss", lambda a, prev: 0)
-    with pytest.raises(RuntimeError, match="determinant 0"):
+    # K_{2,3}: three degree-2 rows, so the count is 8 * det S.
+    monkeypatch.setattr(groups_mod, "_det_mod_primes", lambda a, primes: np.zeros_like(primes))
+    with pytest.raises(RuntimeError, match="determinant 0,"):
+        spanning_tree_count(complete_bipartite(2, 3))
+    monkeypatch.setattr(groups_mod, "_det_mod_primes", lambda a, primes: primes - 1)
+    with pytest.raises(RuntimeError, match="determinant -8,"):
         spanning_tree_count(complete_bipartite(2, 3))
 
 

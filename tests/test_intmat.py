@@ -17,6 +17,7 @@ from sandpiles import (
     smith_normal_form,
 )
 from sandpiles import intmat
+from sandpiles.gfp import _det_mod_p
 from sandpiles.intmat import _LIFT_PRIMES, _solution_denominator
 
 
@@ -267,32 +268,62 @@ def test_determinant_against_cofactor_oracle():
         assert determinant(IntegerMatrix(rows)) == det_by_cofactors(rows)
 
 
-def test_bareiss_goes_on_from_an_eliminated_leading_block():
-    # Sylvester: det(X) times the Schur complement of a leading k x k block X
-    # has the (k+1)-minors on X's rows and columns as entries; Bareiss from
-    # there, with divisor det(X), ends at the determinant of the whole matrix.
-    stream = SplitMix64(8128)
-    checked = 0
-    for _ in range(60):
-        size = 2 + stream.next_below(4)
-        k = 1 + stream.next_below(size - 1)
-        rows = _random_entries(stream, size, size, -6, 6)
-        lead = det_by_cofactors([r[:k] for r in rows[:k]])
-        if lead == 0:
-            continue
-        block = np.array(
-            [
-                [
-                    det_by_cofactors([r[:k] + [r[j]] for r in rows[:k] + [rows[i]]])
-                    for j in range(k, size)
-                ]
-                for i in range(k, size)
-            ],
-            dtype=object,
-        )
-        assert intmat._bareiss(block, lead) == det_by_cofactors(rows)
-        checked += 1
-    assert checked >= 40
+# 2 and 3 meet zero pivots often; the others are the tree count's 27-bit
+# primes, and 2**31 - 1 turns the lazy reduction off for the whole stack.
+_STACK_PRIMES = (2, 3, 134217689, 134217649, 5)
+_EAGER_PRIME = 2**31 - 1
+
+
+def _assert_layers_match(layers, primes):
+    stack = np.array([np.array(rows, dtype=np.int64) % q for rows, q in zip(layers, primes)])
+    residues = stack.copy()
+    got = intmat._det_mod_primes(stack, np.array(primes))
+    for i, (rows, q) in enumerate(zip(layers, primes)):
+        assert int(got[i]) == _det_mod_p(residues[i], q) == det_by_cofactors(rows) % q, (rows, q)
+
+
+def test_det_mod_primes_matches_each_layer_alone():
+    stream = SplitMix64(2718)
+    for trial in range(80):
+        size = 1 + stream.next_below(6)
+        primes = _STACK_PRIMES if trial % 4 else _STACK_PRIMES + (_EAGER_PRIME,)
+        # The same integer matrix in every layer, as in a CRT, or one per layer.
+        if trial % 2:
+            rows = _random_entries(stream, size, size, -2, 2)
+            _assert_layers_match([rows] * len(primes), primes)
+        else:
+            layers = [_random_entries(stream, size, size, -9, 9) for _ in primes]
+            _assert_layers_match(layers, primes)
+
+
+def test_det_mod_primes_singular_layers_and_lone_swaps():
+    primes = (2, 3, 134217689, _EAGER_PRIME)
+    # det -3: singular mod 3 only, with a pivot in the first column there.
+    _assert_layers_match([[[1, 2, 3], [4, 5, 6], [7, 8, 10]]] * 4, primes)
+    # The leading 3 is zero mod 3 alone, so only that layer swaps (det 2 = -1 mod 3).
+    _assert_layers_match([[[3, 1], [1, 1]]] * 4, primes)
+    # Zero mod 2 at (0, 0) and (1, 1) after the swap: two swaps, only there.
+    _assert_layers_match([[[2, 1, 1], [1, 2, 1], [1, 1, 1]]] * 4, primes)
+    # Singular everywhere: equal rows.
+    _assert_layers_match([[[1, 2], [1, 2]]] * 4, primes)
+
+
+def test_det_mod_primes_on_empty_and_one_by_one_stacks():
+    primes = np.array([2, 3, 134217689])
+    assert intmat._det_mod_primes(np.zeros((3, 0, 0), dtype=np.int64), primes).tolist() == [1, 1, 1]
+    one = np.array([[[1]], [[0]], [[134217688]]], dtype=np.int64)
+    assert intmat._det_mod_primes(one, primes).tolist() == [1, 0, 134217688]
+    assert intmat._det_mod_primes(np.zeros((0, 4, 4), dtype=np.int64), primes[:0]).size == 0
+
+
+def test_crt_signed_and_covering_primes():
+    # The largest prime below 2**27 divides ``avoid`` and is skipped.
+    for bits in range(1, 400, 11):
+        primes = intmat._covering_primes(2**27, 2**bits, 6 * 134217689)
+        assert 134217689 not in primes
+        assert math.prod(primes[:-1]) <= 2**bits < math.prod(primes)
+    for value in (0, 1, -1, 10**40, -(10**40), 7**47):
+        assert intmat._crt_signed([value % q for q in primes], primes) == value
 
 
 def test_determinant_of_big_entries_is_exact():
