@@ -23,10 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import floor
 
 import numpy as np
-from scipy.sparse import csgraph, csr_matrix
 
 from .errors import InvalidParamsError, InvalidShapeError
 from .gfp import PrimeFieldMatrix
@@ -209,6 +209,9 @@ def reduced_laplacian(g: BipartiteGraph, drop: int) -> IntegerMatrix:
 
 def connected_components(g: BipartiteGraph) -> list[set[int]]:
     """Vertex sets of the connected components, ordered by smallest vertex."""
+    # Slow to import, and ``predict`` and m-corank trials never get here.
+    from scipy.sparse import csgraph, csr_matrix
+
     n_left, n_right, n = g.n_left, g.n_right, g.n_vertices
     # The CSR of the left-to-right edges is built straight from the row-major
     # flat positions of the edges: left row i owns the positions in
@@ -247,6 +250,27 @@ def _json_int(value, what: str) -> int:
     return int(value)
 
 
+def _edge_pairs(edges, n_left: int, n_right: int) -> np.ndarray | None:
+    """The edges as a (k, 2) int64 array, if each is a pair of in-range ints.
+
+    Each edge must be a list or tuple of two Python ints.  That is checked
+    per distinct type and the ranges by array min and max, with no call per
+    edge; anything else gives None.
+    """
+    if not set(map(type, edges)) <= {list, tuple} or not set(map(len, edges)) <= {2}:
+        return None
+    flat = list(chain.from_iterable(edges))
+    if not set(map(type, flat)) <= {int}:
+        return None
+    try:
+        pairs = np.array(flat, dtype=np.int64).reshape(len(edges), 2)
+    except OverflowError:
+        return None
+    if pairs.size and (pairs.min() < 0 or (pairs.max(axis=0) >= (n_left, n_right)).any()):
+        return None
+    return pairs
+
+
 def graph_from_json(data: dict) -> BipartiteGraph:
     """Inverse of :func:`graph_to_json`, with full validation."""
     try:
@@ -261,14 +285,19 @@ def graph_from_json(data: dict) -> BipartiteGraph:
         )
     if not isinstance(edges, (list, tuple)):
         raise InvalidShapeError(f"edges must be a list, got {edges!r}")
+    pairs = _edge_pairs(edges, n_left, n_right)
+    if pairs is None:
+        # Edge by edge, so the refusal names the first bad edge; numpy ints
+        # and list subclasses pass.
+        for e in edges:
+            if not isinstance(e, (list, tuple)) or len(e) != 2:
+                raise InvalidShapeError(f"edge {e!r} is not a pair")
+            i, j = _json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")
+            if not 0 <= i < n_left or not 0 <= j < n_right:
+                raise InvalidShapeError(f"edge {e!r} out of range")
+        pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
     biadj = np.zeros((n_left, n_right), dtype=np.int64)
-    for e in edges:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise InvalidShapeError(f"edge {e!r} is not a pair")
-        i, j = _json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")
-        if not 0 <= i < n_left or not 0 <= j < n_right:
-            raise InvalidShapeError(f"edge {e!r} out of range")
-        biadj[i, j] = 1
+    biadj[pairs[:, 0], pairs[:, 1]] = 1
     return BipartiteGraph(n_left, n_right, biadj)
 
 

@@ -9,8 +9,9 @@ inverse and Schur complement.  The rank of a matrix is its pivot count, and
 the determinant of a square one is the product of its pivots, negated once
 per row swap.  Solving
 ``a @ x = b`` eliminates ``a`` inside ``[[a, b], [I, 0]]``, whose
-bottom-right block then holds ``-x``; the inverse is the solve against ``I``,
-and the Schur complement needs one solve and one matrix product.  The Schur
+bottom-right block then holds ``-x``, and its pivots and swaps give det(a)
+as well; the inverse is the solve against ``I``, and the Schur complement
+needs one solve and one matrix product.  The Schur
 complement takes the eliminated indices as plain integers, in any order, and
 cuts its four blocks from the residue array with ``np.ix_``.  A diagonal
 block is solved in closed form instead, as a row scaling by the inverted
@@ -265,23 +266,31 @@ def _singular(rank: int, k: int) -> SingularBlockError:
     return SingularBlockError(f"matrix of rank {rank} < {k} is singular")
 
 
-def _solve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """``inverse(a) @ b`` mod p for a square residue matrix ``a``.
+def _pivot_product(w: np.ndarray, k: int, swaps: int, p: int) -> int:
+    """det mod p of a k x k block from its ``_echelon`` pivots (the diagonal of ``w``)."""
+    det = p - 1 if swaps % 2 else 1
+    for pivot in np.diagonal(w)[:k]:
+        det = det * int(pivot) % p
+    return det
+
+
+def _solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """``inverse(a) @ b`` mod p, and det(a) mod p, for a square residue matrix ``a``.
 
     Eliminates the first k columns of ``[[a, b], [I, 0]]`` with pivots from
     its top k rows.  The bottom-right block is then the Schur complement
-    ``0 - I @ inverse(a) @ b``.  Raises :class:`SingularBlockError` when
-    ``a`` has fewer than k pivots.
+    ``0 - I @ inverse(a) @ b``, and the pivots and row swaps give det(a).
+    Raises :class:`SingularBlockError` when ``a`` has fewer than k pivots.
     """
     k, width = a.shape[0], b.shape[1]
     w = np.zeros((2 * k, k + width), dtype=np.int64)
     w[:k, :k] = a
     w[:k, k:] = b
     w[k:, :k] = np.eye(k, dtype=np.int64)
-    rank, _ = _echelon(w, p, k, k)
+    rank, swaps = _echelon(w, p, k, k)
     if rank != k:
         raise _singular(rank, k)
-    return -w[k:, k:] % p
+    return -w[k:, k:] % p, _pivot_product(w, k, swaps, p)
 
 
 def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
@@ -317,7 +326,7 @@ def invert_mod_p(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     """
     if m.rows != m.cols:
         raise DimensionMismatchError(f"cannot invert non-square {m!r}")
-    return PrimeFieldMatrix(m.p, _solve(m.entries, np.eye(m.rows, dtype=np.int64), m.p))
+    return PrimeFieldMatrix(m.p, _solve(m.entries, np.eye(m.rows, dtype=np.int64), m.p)[0])
 
 
 def _det_mod_p(a: np.ndarray, p: int) -> int:
@@ -326,10 +335,7 @@ def _det_mod_p(a: np.ndarray, p: int) -> int:
     rank, swaps = _echelon(w, p, w.shape[1], w.shape[0])
     if rank < w.shape[0]:
         return 0
-    det = p - 1 if swaps % 2 else 1
-    for pivot in np.diagonal(w):
-        det = det * int(pivot) % p
-    return det
+    return _pivot_product(w, rank, swaps, p)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -392,6 +398,6 @@ def schur_complement(m: PrimeFieldMatrix, eliminate) -> PrimeFieldMatrix:
         dinv = np.array([pow(int(d), -1, m.p) for d in diag], dtype=np.int64)
         x = dinv[:, None] * a_st % m.p
     else:
-        x = _solve(a_ss, a_st, m.p)
+        x, _ = _solve(a_ss, a_st, m.p)
     cross = _matmul_mod(a_ts, x, m.p)
     return PrimeFieldMatrix(m.p, (a_tt - cross) % m.p)

@@ -46,16 +46,17 @@ from .intmat import (
 # Largest component, in vertices, whose exact Smith form is attempted.  At
 # q = 0.5, seeds 1-3, on a 2-core host:
 #
-#   vertices  alpha  Smith + trees  tree count alone  group CLI   peak RSS (CLI)
-#   350       1      1.1-1.7 s      0.69-0.77 s       2.1-2.5 s   120-122 MB
-#   350       1/4    1.0-1.1 s      0.12-0.14 s       1.9-2.0 s   77 MB
-#   400       1      2.1-2.5 s      1.3-1.4 s         2.6-3.2 s   149-150 MB
-#   400       1/4    1.4-1.6 s      0.17 s            2.2-2.4 s   81 MB
+#   vertices  alpha  sandpile_group  tree count   group CLI   peak RSS (CLI)
+#   350       1      0.30-0.40 s     0.64-0.70 s  1.5-1.7 s   120-121 MB
+#   350       3/4    0.28-0.38 s     0.40-0.47 s  1.2-1.5 s   104-105 MB
+#   350       1/4    0.43-0.47 s     0.09-0.11 s  1.0-1.1 s   75-76 MB
+#   400       1      0.43-0.50 s     1.0-1.3 s    2.1-2.2 s   148 MB
+#   400       1/4    0.55-0.65 s     0.15-0.16 s  1.2-1.4 s   79-80 MB
 #
-# The first two columns are timed in process, the CLI column times the whole
-# ``group`` command (400-vertex rows with the guard raised to 400).  Every
-# accepted size takes seconds; the guard stays at 350 until ``group`` and
-# ``cyclicity`` are given guards of their own.
+# The first two columns are timed in process after a warm-up call, the CLI
+# column times the whole ``group`` command (400-vertex rows with the guard
+# raised to 400).  Every accepted size takes seconds; the guard stays at 350
+# until ``group`` and ``cyclicity`` are given guards of their own.
 SNF_VERTEX_GUARD = 350
 
 

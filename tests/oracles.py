@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import numpy as np
 
@@ -85,6 +85,28 @@ def is_prime_by_trial_division(n: int) -> bool:
 
 def invariant_factors_by_minors(rows: list[list[int]]) -> tuple[int, ...]:
     return tuple(d for d in smith_diagonal_by_minors(rows) if d >= 2)
+
+
+def divisor_chain_by_pairwise_gcd(values) -> tuple[int, ...]:
+    """Invariant-factor chain of a multiset by (gcd, lcm) swaps over every pair.
+
+    1s take part like any other value; zeros move behind nonzero values.
+    """
+    vals = [abs(int(v)) for v in values]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                a, b = vals[i], vals[j]
+                if a == 0 and b != 0:
+                    vals[i], vals[j] = b, a
+                    changed = True
+                elif a != 0 and b % a != 0:
+                    g = gcd(a, b)
+                    vals[i], vals[j] = g, a * b // g
+                    changed = True
+    return tuple(vals)
 
 
 def solution_denominator_by_fractions(rows: list[list[int]], b: list[int]) -> int:

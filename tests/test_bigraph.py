@@ -269,6 +269,37 @@ def test_json_rejects_malformed_payloads():
             graph_from_json(bad)
 
 
+def test_json_edge_refusals_name_the_first_bad_edge():
+    good = [[0, 0], [1, 2]]
+    later_bad = [[0.5, 0], [9, 9], "x", [True, 1]]
+    for bad, message in (
+        ([True, 0], "edge endpoint must be an integer, got True"),
+        ([0, 1.0], "edge endpoint must be an integer, got 1.0"),
+        ([0, "1"], "edge endpoint must be an integer, got '1'"),
+        ([0, 1, 1], "edge [0, 1, 1] is not a pair"),
+        (5, "edge 5 is not a pair"),
+        ([2, 0], "edge [2, 0] out of range"),
+        ([0, -1], "edge [0, -1] out of range"),
+        ([0, 2**70], f"edge [0, {2**70}] out of range"),
+    ):
+        for edges in ([bad], good + [bad], good + [bad] + later_bad):
+            with pytest.raises(InvalidShapeError) as exc:
+                graph_from_json({"n_left": 2, "n_right": 3, "edges": edges})
+            assert str(exc.value) == message
+
+
+def test_json_edges_may_be_tuples_numpy_ints_or_repeated():
+    want = [[1, 0, 0], [0, 0, 1]]
+    for edges in (
+        [[0, 0], [1, 2]],
+        ((0, 0), (1, 2), [0, 0]),
+        [[np.int64(0), 0], [1, np.int32(2)]],
+    ):
+        g = graph_from_json({"n_left": 2, "n_right": 3, "edges": edges})
+        assert g.biadjacency.tolist() == want
+    assert not graph_from_json({"n_left": 2, "n_right": 3, "edges": []}).biadjacency.any()
+
+
 def test_file_round_trip(tmp_path):
     g = sample_bipartite(GraphModelParams(n=6, alpha=0.5, q=0.5, seed=17))
     path = tmp_path / "graph.json"

@@ -263,14 +263,22 @@ def test_refused_allocation_exits_two(monkeypatch, capsys, tmp_path):
 
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes most of a second to import and only one diagnostic
-    # in reduction.py uses it, so the CLI must not pull it in.
+    # in reduction.py uses it, so the CLI must not pull it in.  scipy.sparse
+    # takes most of the CLI's import time and only connected_components
+    # uses it, so neither the import nor a predict run may load it.
     src = str(Path(sandpiles.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, sandpiles.cli; print('scipy.stats' in sys.modules)"
+    code = (
+        "import sys, sandpiles.cli\n"
+        "loaded = lambda: [m in sys.modules for m in ('scipy.stats', 'scipy.sparse')]\n"
+        "after_import = loaded()\n"
+        "sandpiles.cli.main(['predict', '--n', '50', '--alpha', '0.25', '--p', '2'])\n"
+        "print(after_import, loaded())"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "[False, False] [False, False]"
 
 
 def test_verify_passes(capsys):

@@ -512,7 +512,8 @@ def test_schur_complement_on_build_M_matches_the_eliminating_solve():
             rest = np.setdiff1d(np.arange(m.dim), picks)
             a_ss = a[np.ix_(picks, picks)]
             assert np.count_nonzero(a_ss - np.diag(np.diagonal(a_ss))) == 0
-            x = _solve(a_ss, a[np.ix_(picks, rest)], p)
+            x, det = _solve(a_ss, a[np.ix_(picks, rest)], p)
+            assert det == _det_mod_p(a_ss, p)
             expect = (a[np.ix_(rest, rest)] - _python_matmul(a[np.ix_(rest, picks)], x)) % p
             out = schur_complement(m.matrix, picks)
             assert out.entries.tolist() == expect.tolist()

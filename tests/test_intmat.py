@@ -7,7 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from oracles import det_by_cofactors, smith_diagonal_by_minors, solution_denominator_by_fractions
+from oracles import (
+    det_by_cofactors,
+    divisor_chain_by_pairwise_gcd,
+    smith_diagonal_by_minors,
+    solution_denominator_by_fractions,
+)
 from sandpiles import (
     IntegerMatrix,
     SplitMix64,
@@ -94,6 +99,16 @@ def test_normalize_divisor_chain_cases():
         assert b == 0 or (a != 0 and b % a == 0)
 
 
+def test_normalize_divisor_chain_matches_the_pairwise_loop_with_many_ones_and_zeros():
+    stream = SplitMix64(4141)
+    pool = (0, 1, 1, 1, 1, 2, 3, 4, 6, 9, 10, 12, 25, 36, -1, -8)
+    for trial in range(300):
+        values = [pool[stream.next_below(len(pool))] for _ in range(stream.next_below(30))]
+        assert normalize_divisor_chain(values) == divisor_chain_by_pairwise_gcd(values)
+    assert normalize_divisor_chain([1] * 99) == (1,) * 99
+    assert normalize_divisor_chain([0, 1, 2, 1, 0, 3]) == (1, 1, 1, 6, 0, 0)
+
+
 def test_smith_form_known_cases():
     assert smith_normal_form(IntegerMatrix([[2, 0], [0, 3]])) == (1, 6)
     assert smith_normal_form(IntegerMatrix([[0]])) == (0,)
@@ -167,11 +182,12 @@ def test_solution_denominator_matches_fraction_solve():
             continue
         width = 1 + checked % 2
         b = _random_entries(stream, size, width, -(2**15), 2**15 - 1)
-        got = _solution_denominator(
+        c, prime, det_residue = _solution_denominator(
             np.array(rows, dtype=np.int64), np.array(b, dtype=np.int64), _hadamard(rows)
         )
         want = math.lcm(*(solution_denominator_by_fractions(rows, col) for col in zip(*b)))
-        assert got == want
+        assert c == want
+        assert (prime, det_residue) == (_LIFT_PRIMES[0], det_by_cofactors(rows) % prime)
         checked += 1
 
 
@@ -181,8 +197,10 @@ def test_lifting_prime_dividing_the_determinant_moves_to_the_next_prime():
     # det = 2 * p0: singular mod the first lifting prime only.
     rows = [[p0, 1, 0], [0, 2, 1], [0, 0, 1]]
     a = np.array(rows, dtype=np.int64)
-    assert _solution_denominator(a, b, _hadamard(rows)) == solution_denominator_by_fractions(
-        rows, b[:, 0].tolist()
+    assert _solution_denominator(a, b, _hadamard(rows)) == (
+        solution_denominator_by_fractions(rows, b[:, 0].tolist()),
+        p1,
+        2 * p0 % p1,
     )
     assert smith_form_by_largest_factor(IntegerMatrix(rows)) == smith_normal_form(
         IntegerMatrix(rows)
@@ -218,6 +236,113 @@ def test_largest_factor_route_runs_the_plain_loop_outside_its_domain():
     huge = IntegerMatrix([[2**40, 1], [1, 2**40 + 3]])
     for m in (wide, huge, IntegerMatrix(np.zeros((0, 0), dtype=object))):
         assert smith_form_by_largest_factor(m) == smith_normal_form(m)
+
+
+# Moduli of the pivot loop: prime powers, composites, 0 (the plain Smith
+# form), two large int64 ones (the unit phase reduces lazily below 2**29 +
+# 11 at these sizes, and every update at 2**31 - 1) and one above 2**31,
+# which runs on Python ints.
+LOOP_MODULI = (0, 2, 3, 4, 8, 9, 6, 12, 36, 2**29 + 11, 2**31 - 1, 2**32 + 15)
+
+
+def _loop_mod(rows, modulus: int) -> tuple[int, ...]:
+    """``_smith_diagonal`` of ``rows`` mod ``modulus``, on the largest-factor route's dtype."""
+    a = np.array(rows, dtype=object).reshape(len(rows), -1)
+    if 0 < modulus < 2**31:
+        a = a.astype(np.int64)
+    return intmat._smith_diagonal(intmat._symmetric(a, modulus) if modulus else a, modulus)
+
+
+def _chain_by_minors(rows, modulus: int) -> tuple[int, ...]:
+    # [A | m I] has Smith diagonal gcd(s_i, m), which keeps the chain order.
+    return tuple(math.gcd(s, modulus) for s in smith_diagonal_by_minors(rows))
+
+
+def test_smith_loop_mod_m_matches_minors_and_the_plain_loop():
+    stream = SplitMix64(1807)
+    no_units = (0, 2, -2, 4, 6, -6)
+    sparse = (0, 0, 0, 1, -1, 2, 3)
+    for trial in range(720):
+        modulus = LOOP_MODULI[trial % len(LOOP_MODULI)]
+        kind = trial // len(LOOP_MODULI) % 5
+        rows, cols = 1 + stream.next_below(5), 1 + stream.next_below(5)
+        if kind == 0:
+            entries = _random_entries(stream, rows, cols, -6, 6)
+        elif kind == 3:
+            entries = _random_entries(stream, rows, cols, -(2**34), 2**34)
+        elif kind == 4:
+            # A product through fewer dimensions: singular, so even a large
+            # prime modulus leaves zero factors that wrong updates would miss.
+            inner = stream.next_below(min(rows, cols))
+            left = _random_entries(stream, rows, inner, -(2**17), 2**17)
+            right = _random_entries(stream, inner, cols, -(2**17), 2**17)
+            entries = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] for row in left]
+            if inner == 0:
+                entries = [[0] * cols for _ in range(rows)]
+        else:
+            pool = no_units if kind == 1 else sparse
+            entries = [
+                [pool[stream.next_below(len(pool))] for _ in range(cols)] for _ in range(rows)
+            ]
+            entries[stream.next_below(rows)] = [0] * cols
+        want = _chain_by_minors(entries, modulus)
+        assert _loop_mod(entries, modulus) == want, (entries, modulus)
+        plain = smith_normal_form(IntegerMatrix(entries))
+        assert tuple(math.gcd(s, modulus) for s in plain) == want
+
+
+def test_smith_loop_with_no_unit_a_late_unit_and_zero_rows():
+    # Even entries: no entry is a unit mod 0, 4 or 8, so the smallest-pivot
+    # loop does all the work.
+    even = [[2, 4, 6], [6, 2, 0], [0, 2, 2], [4, 0, 2]]
+    # Column 0 holds no unit when the pass reaches it.  The pivot 1 of
+    # column 1 then turns rows 1 and 2 into units in column 0, which the
+    # loop on the left-over block takes.
+    late = [[2, 1, 0], [3, 1, 2], [5, 2, 4]]
+    zero_rows = [[0, 0, 0], [1, 2, 3], [0, 0, 0], [2, 4, 7]]
+    for entries in (even, late, zero_rows, [[0, 0, 0], [0, 0, 0]], [[0], [-1], [0]]):
+        for modulus in LOOP_MODULI:
+            assert _loop_mod(entries, modulus) == _chain_by_minors(entries, modulus)
+    assert _loop_mod(late, 0) == (1, 1, 2)
+    assert _loop_mod(even, 4) == (2, 2, 2)
+    assert _loop_mod([[2, 4], [4, 2]], 36) == (2, 6)
+    assert intmat._smith_diagonal(np.zeros((3, 0), dtype=np.int64), 6) == ()
+
+
+def test_determinant_quotient_starts_from_the_lifting_residue(monkeypatch):
+    # det(a) / c by CRT: the lifting prime alone when it exceeds twice the
+    # bound, and 31-bit primes besides when it does not.
+    prime = _LIFT_PRIMES[0]
+    real = intmat._det_mod_p
+    more: list[int] = []
+    monkeypatch.setattr(intmat, "_det_mod_p", lambda a, q: more.append(q) or real(a, q))
+    stream = SplitMix64(2718)
+    seen = {True: 0, False: 0}
+    for trial in range(40):
+        size, span = (3, 3) if trial % 2 else (8, 50)
+        rows = _random_entries(stream, size, size, -span, span)
+        det = determinant(IntegerMatrix(rows))
+        if det % prime == 0:
+            continue
+        for c in {1, math.gcd(det, 720720)}:
+            bound = _hadamard(rows) // c
+            more.clear()
+            got = intmat._determinant_quotient(
+                np.array(rows, dtype=np.int64), c, bound, prime, det % prime
+            )
+            assert got == det // c
+            assert prime not in more and all(q > 2**30 for q in more)
+            assert (not more) == (2 * bound < prime)
+            seen[not more] += 1
+    assert min(seen.values()) >= 10
+    # |det| just under P: P alone would give the residue 3, the wrong sign
+    # and size, so one more prime is needed.
+    for rows in ([[3 - prime]], [[prime - 3, 0], [0, -1]]):
+        det = determinant(IntegerMatrix(rows))
+        got = intmat._determinant_quotient(
+            np.array(rows, dtype=np.int64), 1, abs(det), prime, det % prime
+        )
+        assert got == det
 
 
 def test_smith_form_invariant_under_unimodular_moves():
