@@ -308,5 +308,4 @@ def load_graph(path) -> BipartiteGraph:
 
 def save_graph(g: BipartiteGraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(g), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(graph_to_json(g)) + "\n")

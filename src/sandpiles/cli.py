@@ -9,11 +9,24 @@ Usage:
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 for invalid
 configuration, unreadable input or a refused memory allocation.
+
+``simulate``, ``predict`` and ``group`` print one JSON document, on one line
+followed by a newline; ``--out`` files and ``save_graph`` files have the same
+form.  Without ``indent``, ``json.dumps`` runs CPython's C encoder, which
+writes a 900-row ``predict`` pmf in under half the time of the pure-Python
+encoder that ``indent`` selects.  ``python -m json.tool`` indents any of them
+for reading.
+
+``main`` parses with one parser per process (:func:`build_parser` is cached),
+so a process that calls it once per op, such as a test or a benchmark loop,
+builds the parser once.  ``parse_args`` returns a fresh namespace each call,
+so no argument carries over from one call to the next.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,19 +44,23 @@ from .harness import (
 from .theory import expected_excess_exact, expected_rank_asymptotic, rank_pmf_theoretical
 from . import verify as verify_mod
 
-# Largest n that ``predict`` computes.  One prediction at alpha = 1/4, timed
-# in process on a 2-core host (Python 3.11), best of 3 (of 1 for the last
-# column):
+# Largest n that ``predict`` computes.  What is timed: the whole command,
+# ``main(["predict", "--n", n, "--alpha", "0.25", "--p", p])`` with stdout
+# sent to /dev/null, so argument parsing, the three theory calls and the JSON
+# encoding and printing of the n - n/4 + 1 pmf rows.  In process on a 2-core
+# host (Python 3.11), best of 3 (of 1 for the last column); the 2 * 10**4 row
+# was timed with the guard raised:
 #
 #     n          p = 2     p = 5     p = 2**61 - 1
-#     10**4      0.11 s    0.16 s     7.1 s
-#     2 * 10**4  0.38 s    0.62 s    28 s
+#     10**4      0.10 s    0.14 s     5.5 s
+#     2 * 10**4  0.31 s    0.56 s    25 s
 #
 # Each of the n ratio steps touches an n*log2(p)-bit numerator, so the cost
 # grows about as n**2 * log(p), and the largest primes set the limit.
 PREDICT_N_GUARD = 10**4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sandpiles",
@@ -102,7 +119,7 @@ def _cmd_simulate(args) -> int:
     if args.out is not None:
         write_result_json(result, args.out)
     else:
-        print(json.dumps(result.to_json(), indent=2))
+        print(json.dumps(result.to_json()))
     return 0
 
 
@@ -122,7 +139,7 @@ def _cmd_predict(args) -> int:
         "expected_excess_exact": expected_excess_exact(args.n, args.alpha, args.p),
         "distribution": rank_pmf_theoretical(args.n, args.alpha, args.p).to_json(),
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload))
     return 0
 
 
@@ -146,7 +163,7 @@ def _cmd_group(args) -> int:
         "cyclic": invariants.is_cyclic,
         "spanning_trees": None if trees is None else str(trees),
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload))
     return 0
 
 

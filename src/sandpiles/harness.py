@@ -377,8 +377,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult | SweepResult:
 
 def write_result_json(result: ExperimentResult | SweepResult, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(result.to_json(), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(result.to_json()) + "\n")
 
 
 def write_trials_csv(result: ExperimentResult, path) -> None:

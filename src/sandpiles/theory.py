@@ -18,8 +18,9 @@ Exactness policy: whenever a parameter is rational, probabilities are
 computed in exact rational arithmetic and rounded to binary64 only at the
 reporting boundary.  ``conditional_mean_above``, ``expected_excess_exact`` and
 ``rank_pmf_theoretical`` convert a float alpha to its exact binary64 rational,
-so they stay exact too.  A :class:`BinomialSpec` takes only a rational
-``prob``, so ``binom_pmf`` and ``binom_tail_gt`` are exact as well.
+so they stay exact too; an infinite or NaN alpha has no such rational and is
+refused with :class:`InvalidParamsError`.  A :class:`BinomialSpec` takes only
+a rational ``prob``, so ``binom_pmf`` and ``binom_tail_gt`` are exact as well.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ class BinomialSpec:
             )
         if not 0 <= self.prob <= 1:
             raise InvalidParamsError(f"prob must be in [0, 1], got {self.prob}")
+
+
+def _exact_alpha(alpha: Fraction | float) -> Fraction:
+    """``alpha`` as an exact rational; an infinite or NaN alpha is refused."""
+    try:
+        return Fraction(alpha)
+    except (OverflowError, ValueError) as exc:
+        raise InvalidParamsError(f"alpha must be a finite number, got {alpha}") from exc
 
 
 def _pmf_numerator(n: int, q: Fraction, k: int) -> int:
@@ -131,7 +140,7 @@ def conditional_mean_above(n: int, alpha: Fraction | float, s: int) -> Fraction 
         raise EmptyConditioningEventError(
             f"B({n}, alpha) > {s} has probability zero"
         )
-    a = Fraction(alpha)
+    a = _exact_alpha(alpha)
     if not 0 <= a <= 1:
         raise InvalidParamsError(f"alpha must be in [0, 1], got {alpha}")
     tail = sum(islice(_pmf_numerators(n, a), max(s + 1, 0), None))
@@ -156,7 +165,7 @@ def expected_excess_exact(n: int, alpha_cut: Fraction | float, p: int) -> float:
         raise NotPrimeError(f"p must be prime, got {p}")
     if not isinstance(n, int) or n < 0:
         raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
-    c, d = Fraction(alpha_cut).as_integer_ratio()
+    c, d = _exact_alpha(alpha_cut).as_integer_ratio()
     q = Fraction(1, p)
     # (k - c*n/d) * pmf(k) = (d*k - c*n) * numerator(k) / (d * p**n), k > floor(c*n/d).
     cut = max(c * n // d + 1, 0)
@@ -176,7 +185,9 @@ def expected_rank_asymptotic(n: int, alpha: Fraction | float, p: int) -> tuple[f
     """
     if not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p}")
-    a = Fraction(alpha)
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
+    a = _exact_alpha(alpha)
     if not 0 < a <= 1:
         raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
     threshold = Fraction(1, p)
@@ -258,7 +269,9 @@ def rank_pmf_theoretical(n: int, alpha: Fraction | float, p: int) -> RankDistrib
     """
     if not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p}")
-    a = Fraction(alpha)
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
+    a = _exact_alpha(alpha)
     if not 0 < a <= 1:
         raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
     q = Fraction(1, p)

@@ -14,14 +14,22 @@ import numpy as np
 import pytest
 
 import sandpiles
-from sandpiles import BipartiteGraph, groups, save_graph, verify
-from sandpiles.cli import main
+from sandpiles import BipartiteGraph, graph_to_json, groups, load_graph, save_graph, verify
+from sandpiles.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def one_line_json(text: str):
+    """The document in ``text``, which must be one line as the C encoder writes it."""
+    assert text.endswith("\n") and text.count("\n") == 1
+    doc = json.loads(text)
+    assert text == json.dumps(doc) + "\n"
+    return doc
 
 
 def test_simulate_prints_json_summary(capsys):
@@ -110,6 +118,24 @@ def test_predict_rejects_non_prime(capsys):
     code, _, err = run_cli(capsys, "predict", "--n", "100", "--alpha", "0.5", "--p", "4")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "n, alpha, message",
+    [
+        ("100", "inf", "alpha must be a finite number"),
+        ("100", "1e400", "alpha must be a finite number"),
+        ("100", "-inf", "alpha must be a finite number"),
+        ("100", "nan", "alpha must be a finite number"),
+        ("-5", "0.5", "n must be an integer >= 0"),
+        ("-5", "0.25", "n must be an integer >= 0"),
+    ],
+)
+def test_predict_rejects_non_finite_alpha_and_negative_n(capsys, n, alpha, message):
+    # "--alpha=-inf": argparse would read a separate "-inf" as an option.
+    code, out, err = run_cli(capsys, "predict", "--n", n, f"--alpha={alpha}", "--p", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
 
 
 def test_predict_with_huge_prime_is_fast(capsys):
@@ -315,3 +341,56 @@ def test_unknown_arguments_exit_two(capsys):
     assert exc_info.value.code == 2
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_json_documents_are_written_on_one_line(tmp_path, capsys):
+    graph = BipartiteGraph(2, 3, np.array([[1, 1, 0], [0, 1, 1]], dtype=np.int64))
+    graph_path = tmp_path / "graph.json"
+    save_graph(graph, graph_path)
+    assert one_line_json(graph_path.read_text()) == graph_to_json(graph)
+    assert graph_to_json(load_graph(graph_path)) == graph_to_json(graph)
+
+    code, out, _ = run_cli(capsys, "group", "--edges", str(graph_path))
+    assert code == 0 and one_line_json(out)["order"] == "1"  # a path: one tree
+    code, out, _ = run_cli(capsys, "predict", "--n", "40", "--alpha", "0.25", "--p", "3")
+    assert code == 0 and len(one_line_json(out)["distribution"]["pmf"]) == 31
+
+    sim = ["simulate", "--kind", "prank", "--n", "10", "--alpha", "0.5",
+           "--q", "0.4", "--p", "3", "--trials", "4", "--seed", "7"]
+    code, out, _ = run_cli(capsys, *sim)
+    assert code == 0
+    printed = one_line_json(out)
+    out_path = tmp_path / "result.json"
+    code, out, _ = run_cli(capsys, *sim, "--out", str(out_path))
+    assert code == 0 and out == ""
+    written = one_line_json(out_path.read_text())
+    assert written["config"].pop("output_path") == str(out_path)
+    for doc in (printed, written):
+        doc.pop("wall_time_ms")
+        doc["config"].pop("output_path", None)
+    assert written == printed
+
+
+def test_main_reuses_one_parser_and_carries_no_argument_over(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "predict", "--n", "20", "--alpha", "0.25", "--p", "2")
+    assert code == 0 and json.loads(out)["n"] == 20
+
+    sim = ["simulate", "--kind", "prank", "--n", "10", "--alpha", "0.5",
+           "--q", "0.4", "--p", "3", "--trials", "3"]
+    with pytest.raises(SystemExit) as exc_info:
+        main(sim)
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sandpiles simulate") and "--seed" in err
+
+    csv_path = tmp_path / "a.csv"
+    code, out, _ = run_cli(capsys, *sim, "--seed", "7", "--csv", str(csv_path))
+    assert code == 0 and csv_path.exists()
+    with_csv = json.loads(out)
+    csv_path.unlink()
+    code, out, _ = run_cli(capsys, *sim, "--seed", "7")
+    assert code == 0 and not csv_path.exists()
+    without_csv = json.loads(out)
+    assert without_csv["config"]["master_seed"] == 7
+    assert without_csv["per_trial"] == with_csv["per_trial"]

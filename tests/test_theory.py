@@ -196,6 +196,28 @@ def test_asymptotic_rejects_bad_inputs():
         expected_rank_asymptotic(100, 0.5, 4)
 
 
+PREDICT_FUNCTIONS = (expected_rank_asymptotic, expected_excess_exact, rank_pmf_theoretical)
+
+
+@pytest.mark.parametrize("fn", PREDICT_FUNCTIONS)
+def test_predictions_refuse_a_negative_or_non_integer_n(fn):
+    # For p = 2, alpha = 1/2 takes the critical branch (a sqrt of n) and
+    # alpha = 1/4 the subcritical one.
+    for n in (-5, -1, 2.0):
+        for alpha in (0.25, 0.5):
+            with pytest.raises(InvalidParamsError, match=r"n must be an integer >= 0"):
+                fn(n, alpha, 2)
+    fn(0, 0.25, 2)
+
+
+@pytest.mark.parametrize("fn", PREDICT_FUNCTIONS + (conditional_mean_above,))
+def test_predictions_refuse_a_non_finite_alpha(fn):
+    last = 1 if fn is conditional_mean_above else 2  # its s, else the prime p
+    for alpha in (math.inf, -math.inf, math.nan, float("1e400")):
+        with pytest.raises(InvalidParamsError, match=r"alpha must be a finite number"):
+            fn(10, alpha, last)
+
+
 # ------------------------------------------------------- rank distribution
 
 
