@@ -51,12 +51,14 @@ from . import verify as verify_mod
 # host (Python 3.11), best of 3 (of 1 for the last column); the 2 * 10**4 row
 # was timed with the guard raised:
 #
-#     n          p = 2     p = 5     p = 2**61 - 1
-#     10**4      0.10 s    0.14 s     5.5 s
-#     2 * 10**4  0.31 s    0.56 s    25 s
+#     n          p = 2         p = 5         p = 2**61 - 1
+#     10**4      0.06 s        0.09 s         3.0-3.2 s
+#     2 * 10**4  0.15-0.17 s   0.24-0.26 s   12.5-12.6 s
 #
-# Each of the n ratio steps touches an n*log2(p)-bit numerator, so the cost
-# grows about as n**2 * log(p), and the largest primes set the limit.
+# The two passes step at most n + 1 numerators together (the excess the
+# shorter side of the cut, the pmf the terms above it), each of up to
+# n*log2(p) bits, so the cost still grows about as n**2 * log(p), and the
+# largest primes set the limit.
 PREDICT_N_GUARD = 10**4
 
 

@@ -7,12 +7,18 @@ distributional distance) distributed as
     max(B(n, 1/p) - floor(alpha*n), 0),
 
 a truncated shifted binomial.  Everything else in the module is supporting
-machinery: exact binomial arithmetic on integer numerators (a pass over the
-support steps each numerator from the last by an exact integer ratio), the
-three expectation regimes (alpha below / above / at 1/p), an exact identity
-for binomial conditional means, the De Moivre-Laplace local estimate, a
+machinery: exact binomial arithmetic on integer numerators, the three
+expectation regimes (alpha below / above / at 1/p), an exact identity for
+binomial conditional means, the De Moivre-Laplace local estimate, a
 Hoeffding tail bound, and a min-entropy lower bound for the full-rank
 probability of random matrices over GF(p).
+
+The numerators are stepped, each from the last by an exact integer ratio,
+from any first k, so a pass covers only the terms a result needs.  The rank
+law steps only the terms above its cut; its atom at 0 is b**n minus their
+sum.  A tail P(B > s) is summed from whichever side of s has fewer terms.
+The expected excess and the conditional mean need no weighted sum: both
+come from the tail and one B(n-1) numerator at the cut.
 
 Exactness policy: whenever a parameter is rational, probabilities are
 computed in exact rational arithmetic and rounded to binary64 only at the
@@ -84,22 +90,54 @@ def _pmf_numerator(n: int, q: Fraction, k: int) -> int:
     return comb(n, k) * q.numerator**k * (q.denominator - q.numerator) ** (n - k)
 
 
-def _pmf_numerators(n: int, q: Fraction) -> Iterator[int]:
-    """``_pmf_numerator(n, q, k)`` for k = 0..n, each stepped from the last.
+def _pmf_numerators(n: int, q: Fraction, start: int = 0) -> Iterator[int]:
+    """``_pmf_numerator(n, q, k)`` for k = start..n, each stepped from the last.
 
-    N(k+1) = N(k)*(n-k)*a / ((k+1)*(b-a)) is an exact integer division, so a
-    full pass costs no ``comb`` and no power beyond the first (b-a)**n.
+    Only the first, N(start), takes a ``comb`` and two powers.  After it,
+    N(k+1) = N(k)*(n-k)*a / ((k+1)*(b-a)) is an exact integer division.  A
+    ``start`` above n yields nothing.
     """
     a, c = q.numerator, q.denominator - q.numerator
+    if start > n:
+        return
     if c == 0:
-        yield from repeat(0, n)
+        yield from repeat(0, n - start)
         yield a**n
         return
-    num = c**n
+    num = _pmf_numerator(n, q, start)
     yield num
-    for k in range(n):
+    for k in range(start, n):
         num = num * ((n - k) * a) // ((k + 1) * c)
         yield num
+
+
+def _tail_numerator(n: int, q: Fraction, s: int) -> int:
+    """T = sum of ``_pmf_numerator(n, q, k)`` over k > s, any integer s.
+
+    The tail has n - s terms and the head k <= s has s + 1; T is summed
+    from the side with fewer, as b**n minus the head when that is shorter.
+    """
+    if s >= n:
+        return 0
+    if s < 0:
+        return q.denominator**n
+    if n - s <= s + 1:
+        return sum(_pmf_numerators(n, q, s + 1))
+    return q.denominator**n - sum(islice(_pmf_numerators(n, q), s + 1))
+
+
+def _tail_moments(n: int, q: Fraction, s: int) -> tuple[int, int]:
+    """(T, M): the sums of N_k and of k*N_k over k > s, for n >= 1.
+
+    M needs no weighted pass.  k*C(n, k) = n*C(n-1, k-1) gives, with q = a/b,
+        M = n*a*(T + (b-a)*N_s(n-1)) / b,
+    an exact division, where N_s(n-1) is the numerator of B(n-1, q) at s
+    (0 for s < 0).
+    """
+    a, b = q.numerator, q.denominator
+    tail = _tail_numerator(n, q, s)
+    bump = _pmf_numerator(n - 1, q, s) if s >= 0 else 0
+    return tail, n * a * (tail + (b - a) * bump) // b
 
 
 def binom_pmf(spec: BinomialSpec, k: int) -> Fraction:
@@ -118,8 +156,7 @@ def binom_tail_gt(spec: BinomialSpec, s: int) -> Fraction:
         return Fraction(1)
     if s >= spec.n:
         return Fraction(0)
-    tail = sum(islice(_pmf_numerators(spec.n, spec.prob), s + 1, None))
-    return Fraction(tail, spec.prob.denominator**spec.n)
+    return Fraction(_tail_numerator(spec.n, spec.prob, s), spec.prob.denominator**spec.n)
 
 
 def conditional_mean_above(n: int, alpha: Fraction | float, s: int) -> Fraction | float:
@@ -143,35 +180,34 @@ def conditional_mean_above(n: int, alpha: Fraction | float, s: int) -> Fraction 
     a = _exact_alpha(alpha)
     if not 0 <= a <= 1:
         raise InvalidParamsError(f"alpha must be in [0, 1], got {alpha}")
-    tail = sum(islice(_pmf_numerators(n, a), max(s + 1, 0), None))
+    tail, moment = _tail_moments(n, a, s)
     if tail == 0:
         raise EmptyConditioningEventError(
             f"B({n}, {alpha}) > {s} has probability zero"
         )
-    bump = _pmf_numerator(n - 1, a, s) if s >= 0 else 0
-    # With a = u/v, tail and bump are over v**n and v**(n-1): one division.
-    u, v = a.numerator, a.denominator
-    num, den = u * n * (tail + (v - u) * bump), v * tail
-    return Fraction(num, den) if isinstance(alpha, Fraction) else num / den
+    return Fraction(moment, tail) if isinstance(alpha, Fraction) else moment / tail
 
 
 def expected_excess_exact(n: int, alpha_cut: Fraction | float, p: int) -> float:
     """E(max(B(n, 1/p) - alpha_cut*n, 0)), exact arithmetic, binary64 result.
 
-    The sum runs over k > floor(alpha_cut*n) of (k - alpha_cut*n) * pmf(k),
-    with the *exact* (unfloored) cut in the summand.
+    The expectation is the sum over k > s = floor(alpha_cut*n) of
+    (k - alpha_cut*n) * pmf(k), with the *exact* (unfloored) cut in the
+    summand.  It is taken from the tail alone: the tail's sums of N_k and
+    k*N_k (``_tail_moments``, the pmf numerators N_k over p**n) give the
+    same integer numerator as the weighted sum, so the same float.
     """
     if not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p}")
     if not isinstance(n, int) or n < 0:
         raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
-    c, d = _exact_alpha(alpha_cut).as_integer_ratio()
-    q = Fraction(1, p)
-    # (k - c*n/d) * pmf(k) = (d*k - c*n) * numerator(k) / (d * p**n), k > floor(c*n/d).
-    cut = max(c * n // d + 1, 0)
-    terms = islice(enumerate(_pmf_numerators(n, q)), cut, None)
-    total = sum((d * k - c * n) * num for k, num in terms)
-    return total / (d * p**n)
+    u, v = _exact_alpha(alpha_cut).as_integer_ratio()
+    s = u * n // v
+    if s >= n:
+        return 0.0
+    tail, moment = _tail_moments(n, Fraction(1, p), s)
+    # (k - u*n/v) * pmf(k) = (v*k - u*n) * N_k / (v * p**n), summed over k > s.
+    return (v * moment - u * n * tail) / (v * p**n)
 
 
 def expected_rank_asymptotic(n: int, alpha: Fraction | float, p: int) -> tuple[float, str]:
@@ -277,10 +313,14 @@ def rank_pmf_theoretical(n: int, alpha: Fraction | float, p: int) -> RankDistrib
     q = Fraction(1, p)
     offset = floor_ratio(alpha, n)
     den = p**n
-    nums = _pmf_numerators(n, q)
-    pmf: dict[int, float] = {0: sum(islice(nums, min(offset, n) + 1)) / den}
-    for j, num in enumerate(nums, start=1):
+    # Key 0 goes in first and is set last: RankDistribution.mean sums in key
+    # order, and the atom is b**n minus the tail above the cut.
+    pmf: dict[int, float] = {0: 0.0}
+    tail = 0
+    for j, num in enumerate(_pmf_numerators(n, q, offset + 1), start=1):
         pmf[j] = num / den
+        tail += num
+    pmf[0] = (den - tail) / den
     return RankDistribution(n=n, alpha=float(alpha), p=p, offset=offset, pmf=pmf)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, floor, gcd, lcm
 
 import numpy as np
 
@@ -162,6 +162,26 @@ def rank_by_row_reduction(rows: list[list[int]], p: int) -> int:
 
 def binom_pmf_fraction(n: int, alpha: Fraction, k: int) -> Fraction:
     return comb(n, k) * alpha**k * (1 - alpha) ** (n - k)
+
+
+def binom_numerators_from_scratch(n: int, q: Fraction) -> list[int]:
+    """C(n, k) * a**k * (b - a)**(n - k) for k = 0..n (q = a/b): each numerator
+    of P(B(n, q) = k) over b**n from its own ``comb`` and powers."""
+    a, b = q.numerator, q.denominator
+    return [comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+
+
+def expected_excess_by_summation(n: int, alpha_cut: Fraction | float, p: int) -> Fraction:
+    """E(max(B(n, 1/p) - alpha_cut*n, 0)) as the weighted sum, exact.
+
+    Sums (k - alpha_cut*n) * P(B = k) over k > floor(alpha_cut*n), with the
+    exact binary64 value of a float ``alpha_cut``.
+    """
+    cut = Fraction(alpha_cut) * n
+    nums = binom_numerators_from_scratch(n, Fraction(1, p))
+    weighted = sum(((k - cut) * nums[k] for k in range(max(floor(cut) + 1, 0), n + 1)),
+                   Fraction(0))
+    return weighted / p**n
 
 
 def conditional_mean_by_summation(n: int, alpha: Fraction, s: int) -> Fraction:

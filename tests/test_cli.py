@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ import numpy as np
 import pytest
 
 import sandpiles
-from sandpiles import BipartiteGraph, graph_to_json, groups, load_graph, save_graph, verify
+from sandpiles import (
+    BipartiteGraph, graph_to_json, groups, load_graph, save_graph, theory, verify,
+)
 from sandpiles.cli import build_parser, main
 
 
@@ -162,6 +165,60 @@ def test_predict_refuses_n_over_the_guard(capsys):
     assert time.perf_counter() - start < 2.0
     assert code == 2 and out == ""
     assert "guard" in err
+
+
+# sha256 of the whole ``predict`` stdout, recorded before the theory passes
+# started at the cut.  The edges: n = 0 and 1, alpha = 1 (an offset equal to
+# n), one-term tails at p = 2**31 - 1, and n = 333 at alpha = 1/3 (critical
+# for p = 3, subcritical for p = 2).
+PINNED_PREDICT_OUTPUT = [
+    (("0", "0.5", "2"), "21a10aed3e8a8b7a38233f9a12e36347c2943d0f2c5a90f158b4ef7fd7722136"),
+    (("0", "1.0", "3"), "068d8d567a783944c1ff982f5e62f528c9e43bf1da985af64a0232ab0ef5ea4d"),
+    (("1", "0.5", "2"), "7b23344f590809dc41a28bf78ff25a019a7de71320794e4ab92c291141594c22"),
+    (("1", "1.0", "2"), "b04ce87de7bb7d0c306d666f720135e53489c805d30b7b94e1255ca91954a042"),
+    (("3", "1.0", "2"), "96a0ebeb7ab7626abf2ddea00d353bbd4d97b31008af9ebbf69e8b25643cf674"),
+    (("40", "1.0", "5"), "85ebde41e769e8597c68300e4cf1ac7ebdcf2bc2fb281f332215fb72452ef3d7"),
+    (("60", "0.999", "2147483647"),
+     "5d111dc602c610b288f0ee210b39e5780a24992aba0d7ca7e7264fe2175c066b"),
+    (("333", "0.3333333333333333", "3"),
+     "8c4db2892c799ab541d7bb7c66fa5bfc31d539cb5ebf3ff9cb95586858617816"),
+    (("333", "0.3333333333333333", "2"),
+     "d3c39219461a9680417306889d98533d573b2524ee62efb3f729ccc0e3f42162"),
+    (("25", "0.04", "2"), "f0b06916fd6718dd6fd75dd83a76d5c1bc8ed0284a4832b5262aea00567952b4"),
+    (("101", "0.7", "2147483647"),
+     "e56c4299ba77b4c88fe2975e1b6a0aef19caaba6ae7a31c2623e255e5b43ba48"),
+]
+
+
+@pytest.mark.parametrize("args, sha256", PINNED_PREDICT_OUTPUT)
+def test_predict_output_is_pinned(capsys, args, sha256):
+    n, alpha, p = args
+    code, out, _ = run_cli(capsys, "predict", "--n", n, "--alpha", alpha, "--p", p)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_one_predict_steps_at_most_n_plus_one_numerators(capsys, monkeypatch):
+    # The excess steps the shorter of head and tail, the pmf only the tail:
+    # at most (s + 1) + (n - s) terms together, where one full pass each
+    # would be 2n + 2.  The pmf's own n - s terms are a floor.
+    stepped = []
+    full_pass = theory._pmf_numerators
+
+    def counted(*args):
+        for num in full_pass(*args):
+            stepped.append(num)
+            yield num
+
+    monkeypatch.setattr(theory, "_pmf_numerators", counted)
+    n = 1000
+    for alpha in ("0.001", "0.1", "0.25", "0.5", "0.5005", "0.75", "1.0"):
+        for p in ("2", "3", "5"):
+            stepped.clear()
+            code, out, _ = run_cli(capsys, "predict", "--n", str(n), "--alpha", alpha, "--p", p)
+            assert code == 0
+            tail = n - json.loads(out)["distribution"]["params"]["offset"]
+            assert tail <= len(stepped) <= n + 1, (alpha, p, len(stepped))
 
 
 def test_prime_beyond_two_to_the_64_exits_two(capsys):

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from oracles import (
+    binom_numerators_from_scratch,
     binom_pmf_fraction,
     conditional_mean_by_summation,
+    expected_excess_by_summation,
     full_rank_probability_uniform,
 )
 from sandpiles import (
@@ -91,19 +93,39 @@ def test_tail_complements_pmf_sum():
                 assert head + binom_tail_gt(spec, s) == 1
 
 
-def _numerators_from_scratch(n, q):
-    a, b = q.numerator, q.denominator
-    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+# q = 1 takes the generator's (b - a) = 0 branch; q = 0 has a = 0.
+STEPPED_PROBS = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
+                 Fraction(1, 2**31 - 1))
 
 
 def test_stepped_numerators_match_closed_form():
-    probs = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(2, 7),
-             Fraction(1, 2**31 - 1))
-    for q in probs:
+    for q in STEPPED_PROBS:
         for n in range(41):
-            assert list(_pmf_numerators(n, q)) == _numerators_from_scratch(n, q), (n, q)
+            assert list(_pmf_numerators(n, q)) == binom_numerators_from_scratch(n, q), (n, q)
     q = Fraction(1, 5)
-    assert list(_pmf_numerators(1000, q)) == _numerators_from_scratch(1000, q)
+    assert list(_pmf_numerators(1000, q)) == binom_numerators_from_scratch(1000, q)
+
+
+def test_numerators_from_any_start_match_the_full_pass():
+    for q in STEPPED_PROBS:
+        for n in range(41):
+            full = list(_pmf_numerators(n, q))
+            for start in range(n + 2):
+                assert list(_pmf_numerators(n, q, start)) == full[start:], (n, q, start)
+
+
+def test_tail_and_conditional_mean_on_both_sides_of_the_middle():
+    # The tail is summed directly above n/2 and as b**n minus the head below.
+    for n in (9, 10, 25):
+        for prob in (Fraction(1, 2), Fraction(2, 7), Fraction(5, 6), Fraction(1, 2**31 - 1)):
+            spec = BinomialSpec(n, prob)
+            for s in range(-1, n):
+                tail = sum((binom_pmf_fraction(n, prob, k) for k in range(s + 1, n + 1)),
+                           Fraction(0))
+                assert binom_tail_gt(spec, s) == tail, (n, prob, s)
+                assert conditional_mean_above(n, prob, s) == conditional_mean_by_summation(
+                    n, prob, s
+                ), (n, prob, s)
 
 
 # ------------------------------------------------- conditional expectations
@@ -160,6 +182,30 @@ def test_expected_excess_equals_distribution_mean_when_cut_is_integral():
         excess = expected_excess_exact(n, alpha, p)
         dist = rank_pmf_theoretical(n, alpha, p)
         assert excess == pytest.approx(dist.mean(), abs=1e-12)
+
+
+def test_expected_excess_equals_the_summation_oracle():
+    # The excess comes from the tail identity, not a weighted sum; the float
+    # must still be the weighted sum's exact value rounded once.
+    cases = []
+    for n, p in ((1, 2), (2, 3), (40, 2), (41, 3), (60, 2**31 - 1)):
+        for cut in (Fraction(-1, 2), -0.25, 0, Fraction(1, 3), 0.5, 1.0, Fraction(3, 2), 1.5,
+                    Fraction(1, n), 1 - 1 / n, 0.1):
+            cases.append((n, cut, p))
+    assert Fraction(0.1).denominator == 2**55
+    # s = floor(alpha_cut*n) on both sides of n/2.
+    for n in (30, 31):
+        for s in range(-1, n + 2):
+            cases.append((n, Fraction(s, n), 3))
+    stream = SplitMix64(2024)
+    for _ in range(400):
+        n = stream.next_below(70)
+        p = (2, 3, 5, 7, 2**31 - 1)[stream.next_below(5)]
+        cut = -0.5 + 2 * (stream.next_u64() >> 11) / 2**53
+        cases.append((n, cut, p))
+    for n, cut, p in cases:
+        oracle = float(expected_excess_by_summation(n, cut, p))
+        assert expected_excess_exact(n, cut, p) == oracle, (n, cut, p)
 
 
 # ---------------------------------------------------------------- regimes
@@ -257,13 +303,6 @@ def test_rank_pmf_and_excess_are_rounded_once_sweep():
     def oracle_pmf(n, p, k):
         return binom_pmf_fraction(n, Fraction(1, p), k)
 
-    def oracle_excess(n, cut, p):
-        c = Fraction(cut)
-        return sum(
-            ((k - c * n) * oracle_pmf(n, p, k) for k in range(math.floor(c * n) + 1, n + 1)),
-            Fraction(0),
-        )
-
     cases = [(1, 0.5, 2), (1, 1.0, 3), (7, 1.0, 5), (10, 0.3, 3), (12, 0.3, 2**31 - 1)]
     stream = SplitMix64(1729)
     for _ in range(30):
@@ -281,7 +320,7 @@ def test_rank_pmf_and_excess_are_rounded_once_sweep():
             assert dist.pmf[j] == float(oracle_pmf(n, p, offset + j))
         assert len(dist.pmf) == n - offset + 1
         for cut in (alpha, 0, Fraction(2, 7)):
-            assert expected_excess_exact(n, cut, p) == float(oracle_excess(n, cut, p))
+            assert expected_excess_exact(n, cut, p) == float(expected_excess_by_summation(n, cut, p))
 
 
 def test_rank_distribution_quantile_and_cdf():
