@@ -153,13 +153,6 @@ class PrimeFieldMatrix:
     def __repr__(self) -> str:
         return f"PrimeFieldMatrix(p={self.p}, shape={self.rows}x{self.cols})"
 
-    def render(self) -> str:
-        """Small debugging aid: residues as aligned rows of text."""
-        width = len(str(self.p - 1))
-        return "\n".join(
-            " ".join(f"{int(e):>{width}}" for e in row) for row in self.entries
-        )
-
 
 def _checked_indices(indices, bound: int, axis: str, m: PrimeFieldMatrix) -> np.ndarray:
     # operator.index refuses floats, which numpy would truncate.

@@ -108,13 +108,6 @@ class GroupInvariants:
         """Number of invariant factors divisible by ``p``."""
         return sum(1 for d in self.factors if d % p == 0)
 
-    def to_json(self) -> dict:
-        return {
-            "factors": list(self.factors),
-            "order": str(self.order),
-            "free_rank": self.free_rank,
-        }
-
 
 def sandpile_group(g: BipartiteGraph) -> GroupInvariants:
     """Invariant factors of the sandpile group of ``g``.

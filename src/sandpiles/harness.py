@@ -193,10 +193,11 @@ def run_prank_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return _result(cfg, obs, elapsed_ms, _compare_to_law(cfg, obs))
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise EmptyInputError("wilson interval needs at least one trial")
+    z = 1.96  # two-sided 95% quantile of the standard normal
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom

@@ -57,7 +57,11 @@ takes the determinant of its own matrix mod primes below 2**27.  That count
 needs 14-19 primes at 90-105 vertices and 84 at 350, so
 :func:`_det_mod_primes` eliminates all of them in one loop over an int64
 stack of shape (primes x n x n), one prime per layer; step 2 needs at
-most two primes besides P there and keeps ``_det_mod_p``.
+most two primes besides P there and keeps ``_det_mod_p``.  ``gfp._echelon``
+behind it clears only the rows with a nonzero in the pivot column, while
+the stacked loop updates every row below the pivot in every layer.  On
+the graphs of 90-105 vertices, a one-layer stack took 6.8 ms per graph
+against 3.5 ms, and a two-layer stack 10.5 ms against 7.0 ms.
 :func:`determinant` is the Bareiss reference that ``verify`` and the
 tests compare with.
 """

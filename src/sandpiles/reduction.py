@@ -152,14 +152,6 @@ class PipelineReport:
     r: int
     regime: str
 
-    def to_json(self) -> dict:
-        return {
-            "corank_direct": self.corank_direct,
-            "corank_schur": self.corank_schur,
-            "r": self.r,
-            "regime": self.regime,
-        }
-
 
 def corank_pipeline(m: ReducedModelMatrix) -> PipelineReport:
     """Compute the corank of ``m.matrix`` directly and via a Schur step.

@@ -9,9 +9,9 @@ distributional distance) distributed as
 a truncated shifted binomial.  Everything else in the module is supporting
 machinery: exact binomial arithmetic on integer numerators, the three
 expectation regimes (alpha below / above / at 1/p), an exact identity for
-binomial conditional means, the De Moivre-Laplace local estimate, a
-Hoeffding tail bound, and a min-entropy lower bound for the full-rank
-probability of random matrices over GF(p).
+binomial conditional means, the De Moivre-Laplace local estimate, and a
+min-entropy lower bound for the full-rank probability of random matrices
+over GF(p).
 
 The numerators are stepped, each from the last by an exact integer ratio,
 from any first k, so a pass covers only the terms a result needs.  The rank
@@ -267,10 +267,6 @@ class RankDistribution:
     def mean(self) -> float:
         return sum(k * prob for k, prob in self.pmf.items())
 
-    def variance(self) -> float:
-        mu = self.mean()
-        return sum((k - mu) ** 2 * prob for k, prob in self.pmf.items())
-
     @cached_property
     def _cumulative(self) -> tuple[list[int], list[float]]:
         """Support points and the CDF at each, summed left to right once."""
@@ -344,19 +340,6 @@ def dml_estimate(n: int, alpha: float, s: int) -> float:
         )
     var = a * (1.0 - a) * n
     return exp(-(gap * gap) / (2.0 * var)) / sqrt(2.0 * pi * var)
-
-
-def hoeffding_bound(n: int, q: float, eps: float) -> float:
-    """The explicit Hoeffding tail bound 2*exp(-2*eps^2*n).
-
-    Upper bound on P(|B(n, q) - q*n| > eps*n); independent of q.  The value
-    may exceed 1 for tiny n (vacuous but valid); callers clamp for display.
-    """
-    if eps <= 0:
-        raise InvalidParamsError(f"eps must be > 0, got {eps}")
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
-    return 2.0 * exp(-2.0 * eps * eps * n)
 
 
 def min_entropy_rank_bound(n: int, m: int, beta: float) -> float:

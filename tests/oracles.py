@@ -18,7 +18,6 @@ import numpy as np
 
 from sandpiles import (
     BipartiteGraph,
-    SplitMix64,
     connected_components,
     corank_mod_p,
     laplacian_mod_p,
@@ -206,8 +205,3 @@ def full_rank_probability_uniform(n: int, m: int, p: int) -> Fraction:
     for i in range(m - n + 1, m + 1):
         prob *= 1 - Fraction(1, p) ** i
     return prob
-
-
-def random_biadjacency(stream: SplitMix64, rows: int, cols: int, q: float) -> np.ndarray:
-    u = stream.next_uniform_block(rows * cols).reshape(rows, cols)
-    return (u < q).astype(np.int64)

@@ -14,10 +14,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
-import pytest
 
 from oracles import (
     conditional_mean_by_summation,
@@ -31,7 +29,6 @@ from sandpiles import (
     BipartiteGraph,
     ExperimentConfig,
     GroupInvariants,
-    IntegerMatrix,
     SingularBlockError,
     SplitMix64,
     binom_pmf,

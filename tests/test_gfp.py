@@ -539,8 +539,3 @@ def test_schur_complement_singular_block_raises():
     m = PrimeFieldMatrix(2, [[0, 1], [1, 0]])
     with pytest.raises(SingularBlockError):
         schur_complement(m, (0,))
-
-
-def test_render_shows_residues():
-    text = PrimeFieldMatrix(7, [[1, 9], [3, 4]]).render()
-    assert text.splitlines() == ["1 2", "3 4"]

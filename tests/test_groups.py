@@ -15,7 +15,6 @@ from sandpiles import (
     GraphModelParams,
     GroupInvariants,
     GuardExceededError,
-    IntegerMatrix,
     InvalidParamsError,
     NotPrimeError,
     PrimeFieldMatrix,
@@ -67,12 +66,6 @@ def test_group_invariants_p_multiplicity():
     assert g.p_multiplicity(2) == 3
     assert g.p_multiplicity(3) == 1
     assert g.p_multiplicity(5) == 0
-
-
-def test_group_invariants_json_uses_string_order():
-    payload = GroupInvariants(factors=(2, 6), order=12).to_json()
-    assert payload["factors"] == [2, 6]
-    assert payload["order"] == "12"  # stringly typed: orders overflow JSON numbers
 
 
 def test_complete_2_3_matches_hand_computation():

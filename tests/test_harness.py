@@ -36,7 +36,7 @@ from sandpiles import (
     write_trials_csv,
 )
 from sandpiles import harness
-from sandpiles.harness import BALANCED_NS, QSWEEP_QS
+from sandpiles.harness import QSWEEP_QS
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -158,6 +158,18 @@ def test_wilson_interval_properties():
     assert narrow[1] - narrow[0] < wide[1] - wide[0]
     with pytest.raises(EmptyInputError):
         wilson_interval(0, 0)
+
+
+def test_wilson_interval_values_are_pinned():
+    # The 95% interval's floats, exact: any change to z or the arithmetic shows.
+    assert wilson_interval(0, 50) == (0.0, 0.07135003417431873)
+    assert wilson_interval(50, 50) == (0.9286499658256813, 1.0)
+    assert wilson_interval(50, 100) == (0.40382982859014716, 0.5961701714098528)
+    assert wilson_interval(3, 40) == (0.025835556771858226, 0.19864530159097524)
+    assert wilson_interval(500, 1000) == (0.4690690341793595, 0.5309309658206405)
+    cfg = _cfg(kind="cyclicity", n=40, trials=30, master_seed=12345)
+    result = run_cyclicity_experiment(cfg)
+    assert result.extras["wilson95"] == [0.11792239210501232, 0.40928672330324267]
 
 
 def test_mcorank_extras_and_regime_counts():

@@ -195,8 +195,6 @@ def test_corank_pipeline_r_and_regime():
     cut = 6  # floor(0.5 * 12)
     expect = REGIME_ABOVE_CUT if report.r >= cut else REGIME_BELOW_CUT
     assert report.regime == expect
-    payload = report.to_json()
-    assert payload["r"] == report.r
 
 
 def test_corank_pipeline_all_nonzero_diagonal_case():

@@ -30,7 +30,6 @@ from sandpiles import (
     dml_estimate,
     expected_excess_exact,
     expected_rank_asymptotic,
-    hoeffding_bound,
     min_entropy_rank_bound,
     rank_pmf_theoretical,
 )
@@ -407,31 +406,6 @@ def test_dml_estimate_converges_to_exact_pmf():
 
 
 # ------------------------------------------------------------------ bounds
-
-
-def test_hoeffding_examples_and_validation():
-    assert hoeffding_bound(100, 0.5, 0.1) == pytest.approx(2 * math.exp(-2))
-    assert hoeffding_bound(100, 0.5, 0.1) == pytest.approx(0.270671, abs=1e-6)
-    assert hoeffding_bound(10, 0.3, 1.0) == pytest.approx(2 * math.exp(-20))
-    # n = 0 is vacuous: the bound is 2 and callers clamp to 1 if needed.
-    assert hoeffding_bound(0, 0.5, 0.1) == 2.0
-    with pytest.raises(InvalidParamsError):
-        hoeffding_bound(100, 0.5, 0.0)
-
-
-def test_hoeffding_bound_dominates_empirical_tail():
-    n, q, eps = 200, 0.5, 0.1
-    bound = hoeffding_bound(n, q, eps)
-    stream = SplitMix64(1618)
-    bad = 0
-    trials = 2000
-    for _ in range(trials):
-        edges = (stream.next_uniform_block(n) < q).sum()
-        if abs(edges / n - q) > eps:
-            bad += 1
-    # Empirical tail probability must stay below the bound (with slack for
-    # the Monte Carlo error, which is tiny because the true tail ~ 0.004).
-    assert bad / trials <= bound
 
 
 def test_min_entropy_bound_example_and_edges():
