@@ -303,7 +303,11 @@ def graph_from_json(data: dict) -> BipartiteGraph:
 
 def load_graph(path) -> BipartiteGraph:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError as exc:
+            raise InvalidShapeError(f"graph file {path} is nested too deeply to read") from exc
+    return graph_from_json(data)
 
 
 def save_graph(g: BipartiteGraph, path) -> None:

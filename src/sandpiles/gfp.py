@@ -40,7 +40,6 @@ Python ints beyond.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 
 import numpy as np
 
@@ -87,17 +86,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# Every matrix checks its modulus, and a run uses a few moduli over and over
-# (its p, the Smith form's lifting prime), so each is tested once.
-_is_prime_cached = lru_cache(maxsize=64)(is_prime)
-
-
 def _check_prime(p: int) -> None:
     if not isinstance(p, int) or isinstance(p, bool):
         raise NotPrimeError(f"modulus must be an int, got {type(p).__name__}")
     if p >= _MAX_PRIME:
         raise NotPrimeError(f"modulus must be < 2**31, got {p}")
-    if not _is_prime_cached(p):
+    if not is_prime(p):
         raise NotPrimeError(f"modulus must be prime, got {p}")
 
 

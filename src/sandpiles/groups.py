@@ -183,11 +183,6 @@ def p_rank(g: BipartiteGraph, p: int) -> int:
     return b_z.rows - g.n_right + kernel.shape[0] + corank - n_comps
 
 
-def is_cyclic(g: BipartiteGraph) -> bool:
-    """Whether the sandpile group of ``g`` is cyclic (trivial counts as cyclic)."""
-    return sandpile_group(g).is_cyclic
-
-
 def _schur_block_mod_primes(kept: np.ndarray, degrees: np.ndarray, moduli: np.ndarray) -> np.ndarray:
     """S mod each prime, as an int64 stack of shape (primes, m, m).
 

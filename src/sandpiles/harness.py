@@ -31,7 +31,7 @@ import numpy as np
 from .bigraph import GraphModelParams, sample_bipartite
 from .errors import EmptyInputError, InvalidParamsError, NotPrimeError
 from .gfp import _check_prime, is_prime
-from .groups import is_cyclic, p_rank
+from .groups import p_rank, sandpile_group
 from .reduction import build_M, corank_pipeline
 from .rng import derive_seed
 from .theory import RankDistribution, rank_pmf_theoretical
@@ -197,6 +197,10 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials < 1:
         raise EmptyInputError("wilson interval needs at least one trial")
+    if not 0 <= successes <= trials:
+        raise InvalidParamsError(
+            f"successes must be in [0, trials], got {successes} of {trials} trials"
+        )
     z = 1.96  # two-sided 95% quantile of the standard normal
     phat = successes / trials
     denom = 1.0 + z * z / trials
@@ -215,7 +219,7 @@ def run_cyclicity_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     ``extras["wilson95"]``.
     """
     _check_kind(cfg, "cyclicity")
-    obs, elapsed_ms = _run_trials(cfg, lambda seed: is_cyclic(_sample(cfg, seed)))
+    obs, elapsed_ms = _run_trials(cfg, lambda seed: sandpile_group(_sample(cfg, seed)).is_cyclic)
     low, high = wilson_interval(sum(obs), cfg.trials)
     return _result(cfg, obs, elapsed_ms, extras={"wilson95": [low, high]})
 

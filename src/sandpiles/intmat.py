@@ -119,10 +119,6 @@ class IntegerMatrix:
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("IntegerMatrix is immutable")
 
-    @classmethod
-    def from_rows(cls, rows) -> "IntegerMatrix":
-        return cls([list(row) for row in rows])
-
     @property
     def rows(self) -> int:
         return self.entries.shape[0]

@@ -152,10 +152,6 @@ def binom_pmf(spec: BinomialSpec, k: int) -> Fraction:
 
 def binom_tail_gt(spec: BinomialSpec, s: int) -> Fraction:
     """P(B(n, prob) > s), exact; s may be any integer (s < 0 gives 1, s >= n gives 0)."""
-    if s < 0:
-        return Fraction(1)
-    if s >= spec.n:
-        return Fraction(0)
     return Fraction(_tail_numerator(spec.n, spec.prob, s), spec.prob.denominator**spec.n)
 
 
@@ -210,6 +206,18 @@ def expected_excess_exact(n: int, alpha_cut: Fraction | float, p: int) -> float:
     return (v * moment - u * n * tail) / (v * p**n)
 
 
+def _law_alpha(n: int, alpha: Fraction | float, p: int) -> Fraction:
+    """The exact alpha of the law at (n, alpha, p), once p, n and alpha are checked."""
+    if not is_prime(p):
+        raise NotPrimeError(f"p must be prime, got {p}")
+    if not isinstance(n, int) or n < 0:
+        raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
+    a = _exact_alpha(alpha)
+    if not 0 < a <= 1:
+        raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
+    return a
+
+
 def expected_rank_asymptotic(n: int, alpha: Fraction | float, p: int) -> tuple[float, str]:
     """Leading term of the expected p-rank, with its regime label.
 
@@ -219,13 +227,7 @@ def expected_rank_asymptotic(n: int, alpha: Fraction | float, p: int) -> tuple[f
       * "critical"     (alpha = 1/p): sqrt((1/p)(1-1/p) n / (2 pi))
     The O(1) corrections are deliberately not included.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"p must be prime, got {p}")
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
-    a = _exact_alpha(alpha)
-    if not 0 < a <= 1:
-        raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
+    a = _law_alpha(n, alpha, p)
     threshold = Fraction(1, p)
     if a < threshold:
         return float((threshold - a) * n), "subcritical"
@@ -299,15 +301,9 @@ def rank_pmf_theoretical(n: int, alpha: Fraction | float, p: int) -> RankDistrib
     rank j carries P(B = cut + j).  Probabilities are computed exactly and
     rounded once.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"p must be prime, got {p}")
-    if not isinstance(n, int) or n < 0:
-        raise InvalidParamsError(f"n must be an integer >= 0, got {n}")
-    a = _exact_alpha(alpha)
-    if not 0 < a <= 1:
-        raise InvalidParamsError(f"alpha must be in (0, 1], got {alpha}")
+    a = _law_alpha(n, alpha, p)
     q = Fraction(1, p)
-    offset = floor_ratio(alpha, n)
+    offset = floor_ratio(a, n)
     den = p**n
     # Key 0 goes in first and is set last: RankDistribution.mean sums in key
     # order, and the atom is b**n minus the tail above the cut.

@@ -233,7 +233,7 @@ def check_smith_form_oracles() -> CheckResult:
     if factors != (4,):
         problems.append(f"complete 2x2 invariant factors {factors} != (4,)")
 
-    diag = smith_normal_form(IntegerMatrix.from_rows([[2, 0], [0, 3]]))
+    diag = smith_normal_form(IntegerMatrix([[2, 0], [0, 3]]))
     if diag != (1, 6):
         problems.append(f"diag(2,3) Smith form {diag} != (1, 6)")
 
@@ -244,7 +244,7 @@ def check_smith_form_oracles() -> CheckResult:
         entries = [
             [stream.next_below(11) - 5 for _ in range(cols)] for _ in range(rows)
         ]
-        got = smith_normal_form(IntegerMatrix.from_rows(entries))
+        got = smith_normal_form(IntegerMatrix(entries))
         want = smith_diagonal_by_minors(entries)
         if got != want:
             problems.append(f"Smith form {got} != minors oracle {want} on {entries}")

@@ -323,6 +323,22 @@ def test_group_rejects_non_integer_graph_json(tmp_path, capsys):
     assert "must be an integer" in err
 
 
+DEEP_ARRAY = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("text", [
+    DEEP_ARRAY,
+    '{"n_left": 1, "n_right": 1, "edges": ' + DEEP_ARRAY + "}",
+], ids=["bare-array", "edges-array"])
+def test_group_refuses_a_deeply_nested_graph_file(tmp_path, capsys, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "group", "--edges", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "nested too deeply" in err
+    assert "Traceback" not in err
+
+
 def test_refused_allocation_exits_two(monkeypatch, capsys, tmp_path):
     # A refused allocation is a configuration too large for this host, not a
     # failed verification, so it exits 2.  Simulated: a real multi-terabyte

@@ -20,7 +20,6 @@ from sandpiles import (
     PrimeFieldMatrix,
     connected_components,
     determinant,
-    is_cyclic,
     laplacian,
     p_rank,
     rank_mod_p,
@@ -78,7 +77,7 @@ def test_complete_2_3_matches_hand_computation():
     assert p_rank(g, 2) == 2
     assert p_rank(g, 3) == 1
     assert p_rank(g, 5) == 0
-    assert not is_cyclic(g)
+    assert not inv.is_cyclic
 
 
 def test_complete_2_2_is_cyclic_of_order_four():
@@ -86,7 +85,7 @@ def test_complete_2_2_is_cyclic_of_order_four():
     inv = sandpile_group(g)
     assert inv.factors == (4,)
     assert spanning_tree_count(g) == 4
-    assert is_cyclic(g)
+    assert inv.is_cyclic
 
 
 def test_complete_3_3_group_and_tree_count():
@@ -105,7 +104,7 @@ def test_single_edge_graph_has_trivial_group():
     assert inv.factors == () and inv.order == 1 and inv.free_rank == 0
     assert spanning_tree_count(g) == 1
     assert p_rank(g, 2) == 0
-    assert is_cyclic(g)
+    assert inv.is_cyclic
 
 
 def test_star_graph_group_is_trivial():
@@ -129,8 +128,6 @@ def test_guard_refuses_a_large_component_but_not_many_small_ones():
     start = time.perf_counter()
     with pytest.raises(GuardExceededError):
         sandpile_group(star)
-    with pytest.raises(GuardExceededError):
-        is_cyclic(star)
     assert time.perf_counter() - start < 2.0
     # A component of exactly guard vertices is computed.
     assert sandpile_group(complete_bipartite(1, guard - 1)).factors == ()

@@ -160,6 +160,15 @@ def test_wilson_interval_properties():
         wilson_interval(0, 0)
 
 
+def test_wilson_interval_refuses_a_count_outside_the_trials():
+    for successes, trials in ((11, 10), (-1, 10), (1001, 1000)):
+        with pytest.raises(InvalidParamsError) as info:
+            wilson_interval(successes, trials)
+        assert str(info.value) == (
+            f"successes must be in [0, trials], got {successes} of {trials} trials"
+        )
+
+
 def test_wilson_interval_values_are_pinned():
     # The 95% interval's floats, exact: any change to z or the arithmetic shows.
     assert wilson_interval(0, 50) == (0.0, 0.07135003417431873)

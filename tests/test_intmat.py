@@ -15,6 +15,7 @@ from oracles import (
 )
 from sandpiles import (
     IntegerMatrix,
+    InvalidShapeError,
     SplitMix64,
     determinant,
     normalize_divisor_chain,
@@ -49,11 +50,14 @@ def test_construction_rejects_bad_input():
         IntegerMatrix([[True, False]])
     with pytest.raises(ValueError):
         IntegerMatrix([1, 2, 3])
-    # from_rows validates like the constructor instead of truncating.
+    # Rows are validated, not truncated, and may mix arrays and tuples.
     for rows in ([[2.7, True]], [[2.0]], [[False]], [["3"]]):
         with pytest.raises(ValueError):
-            IntegerMatrix.from_rows(rows)
-    assert IntegerMatrix.from_rows([np.array([1, -2]), (3, 4)]).to_lists() == [[1, -2], [3, 4]]
+            IntegerMatrix(rows)
+    assert IntegerMatrix([np.array([1, -2]), (3, 4)]).to_lists() == [[1, -2], [3, 4]]
+    # A generator of rows has no shape to read.
+    with pytest.raises(InvalidShapeError, match=r"entries must be 2-d, got shape \(\)"):
+        IntegerMatrix(row for row in [[1, 2], [3, 4]])
 
 
 def test_integer_arrays_become_python_ints_and_other_arrays_are_checked():
@@ -82,7 +86,7 @@ def test_entries_are_read_only():
 
 def test_equality_and_hash():
     a = IntegerMatrix([[1, 2]])
-    b = IntegerMatrix.from_rows([[1, 2]])
+    b = IntegerMatrix([(1, 2)])
     assert a == b and hash(a) == hash(b)
     assert a != IntegerMatrix([[2, 1]])
 

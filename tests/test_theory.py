@@ -20,6 +20,7 @@ from sandpiles import (
     EmptyConditioningEventError,
     InvalidParamsError,
     InvalidShapeError,
+    NotPrimeError,
     OutOfRangeError,
     OutOfSupportError,
     RankDistribution,
@@ -81,6 +82,14 @@ def test_binom_tail_cases():
     assert binom_tail_gt(spec, 4) == 0
     assert binom_tail_gt(spec, 99) == 0
     assert all(isinstance(binom_tail_gt(spec, s), Fraction) for s in (-1, 1, 4))
+    # n = 0 and the degenerate probabilities, on both sides of the support.
+    empty = BinomialSpec(0, Fraction(1, 2))
+    assert binom_tail_gt(empty, -1) == 1 and binom_tail_gt(empty, 0) == 0
+    never, always = BinomialSpec(5, Fraction(0)), BinomialSpec(5, Fraction(1))
+    assert [binom_tail_gt(never, s) for s in (-1, 0, 4, 5)] == [1, 0, 0, 0]
+    assert [binom_tail_gt(always, s) for s in (-1, 0, 4, 5)] == [1, 1, 1, 0]
+    for spec in (empty, never, always):
+        assert all(isinstance(binom_tail_gt(spec, s), Fraction) for s in (-3, 0, 5, 8))
 
 
 def test_tail_complements_pmf_sum():
@@ -242,6 +251,30 @@ def test_asymptotic_rejects_bad_inputs():
 
 
 PREDICT_FUNCTIONS = (expected_rank_asymptotic, expected_excess_exact, rank_pmf_theoretical)
+
+# (n, alpha, p) -> the exact refusal; p is checked first, then n, then alpha.
+LAW_REFUSALS = (
+    ((10, 0.5, 4), NotPrimeError, "p must be prime, got 4"),
+    ((10, 0.5, 1), NotPrimeError, "p must be prime, got 1"),
+    ((10, 0.5, 2**64), InvalidParamsError,
+     "primality is decided only below 2**64, got 18446744073709551616"),
+    ((-1, math.inf, 4), NotPrimeError, "p must be prime, got 4"),
+    ((-1, 0.5, 2), InvalidParamsError, "n must be an integer >= 0, got -1"),
+    ((2.0, 0.5, 2), InvalidParamsError, "n must be an integer >= 0, got 2.0"),
+    ((-1, math.inf, 2), InvalidParamsError, "n must be an integer >= 0, got -1"),
+    ((10, 0.0, 2), InvalidParamsError, "alpha must be in (0, 1], got 0.0"),
+    ((10, 1.5, 2), InvalidParamsError, "alpha must be in (0, 1], got 1.5"),
+    ((10, -0.25, 2), InvalidParamsError, "alpha must be in (0, 1], got -0.25"),
+    ((10, math.inf, 2), InvalidParamsError, "alpha must be a finite number, got inf"),
+)
+
+
+@pytest.mark.parametrize("fn", (expected_rank_asymptotic, rank_pmf_theoretical))
+@pytest.mark.parametrize("args, error, message", LAW_REFUSALS)
+def test_law_refusals_are_pinned(fn, args, error, message):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    assert type(info.value) is error and str(info.value) == message
 
 
 @pytest.mark.parametrize("fn", PREDICT_FUNCTIONS)
