@@ -21,6 +21,7 @@ product with the *stored* double 0.3 -- the same answer on every platform.
 from __future__ import annotations
 
 import json
+import reprlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -246,7 +247,7 @@ def graph_to_json(g: BipartiteGraph) -> dict:
 def _json_int(value, what: str) -> int:
     """``value`` as an int; bools, floats and strings are refused, not truncated."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise InvalidShapeError(f"{what} must be an integer, got {value!r}")
+        raise InvalidShapeError(f"{what} must be an integer, got {reprlib.repr(value)}")
     return int(value)
 
 
@@ -284,17 +285,17 @@ def graph_from_json(data: dict) -> BipartiteGraph:
             f"both parts must be nonempty, got {n_left} and {n_right}"
         )
     if not isinstance(edges, (list, tuple)):
-        raise InvalidShapeError(f"edges must be a list, got {edges!r}")
+        raise InvalidShapeError(f"edges must be a list, got {reprlib.repr(edges)}")
     pairs = _edge_pairs(edges, n_left, n_right)
     if pairs is None:
         # Edge by edge, so the refusal names the first bad edge; numpy ints
         # and list subclasses pass.
         for e in edges:
             if not isinstance(e, (list, tuple)) or len(e) != 2:
-                raise InvalidShapeError(f"edge {e!r} is not a pair")
+                raise InvalidShapeError(f"edge {reprlib.repr(e)} is not a pair")
             i, j = _json_int(e[0], "edge endpoint"), _json_int(e[1], "edge endpoint")
             if not 0 <= i < n_left or not 0 <= j < n_right:
-                raise InvalidShapeError(f"edge {e!r} out of range")
+                raise InvalidShapeError(f"edge {reprlib.repr(e)} out of range")
         pairs = np.array(edges, dtype=np.int64).reshape(len(edges), 2)
     biadj = np.zeros((n_left, n_right), dtype=np.int64)
     biadj[pairs[:, 0], pairs[:, 1]] = 1

@@ -31,7 +31,7 @@ import json
 import sys
 
 from .bigraph import connected_components, load_graph
-from .errors import GuardExceededError
+from .errors import GuardExceededError, InvalidParamsError
 from .groups import sandpile_group, spanning_tree_count
 from .harness import (
     EXPERIMENT_KINDS,
@@ -109,12 +109,9 @@ def _cmd_simulate(args) -> int:
         output_path=args.out,
     )
     if args.csv is not None and cfg.kind in SWEEP_KINDS:
-        print(
-            f"--csv is not available for kind {cfg.kind!r} "
-            "(no single per-trial series)",
-            file=sys.stderr,
+        raise InvalidParamsError(
+            f"--csv is not available for kind {cfg.kind!r} (no single per-trial series)"
         )
-        return 2
     result = run_experiment(cfg)
     if args.csv is not None:
         write_trials_csv(result, args.csv)

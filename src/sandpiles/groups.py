@@ -65,15 +65,10 @@ class GroupInvariants:
     """A finite abelian group in invariant-factor form.
 
     ``factors`` is the canonical chain d1 | d2 | ... with every d_i >= 2;
-    the trivial group has an empty chain.  ``order`` is the product of the
-    factors and ``free_rank`` counts Z summands (zero for sandpile groups of
-    connected graphs, kept so the type can also describe full-Laplacian
-    cokernels).
+    the trivial group has an empty chain.
     """
 
     factors: tuple[int, ...]
-    order: int
-    free_rank: int = 0
 
     def __post_init__(self):
         for a, b in zip(self.factors, self.factors[1:]):
@@ -81,23 +76,16 @@ class GroupInvariants:
                 raise ValueError(f"factors must form a divisor chain, got {self.factors}")
         if any(d < 2 for d in self.factors):
             raise ValueError(f"factors must all be >= 2, got {self.factors}")
-        if self.order != prod(self.factors):
-            raise ValueError(
-                f"order {self.order} does not match factors {self.factors}"
-            )
-        if self.free_rank < 0:
-            raise ValueError(f"free_rank must be >= 0, got {self.free_rank}")
 
     @classmethod
     def from_snf_diagonal(cls, diag) -> "GroupInvariants":
-        """Group presented by a Smith-form diagonal (zeros become Z summands)."""
-        chain = normalize_divisor_chain(diag)
-        factors = tuple(d for d in chain if d >= 2)
-        return cls(
-            factors=factors,
-            order=prod(factors),
-            free_rank=sum(1 for d in chain if d == 0),
-        )
+        """Group presented by a Smith-form diagonal, with its zeros (Z summands) dropped."""
+        return cls(tuple(d for d in normalize_divisor_chain(diag) if d >= 2))
+
+    @property
+    def order(self) -> int:
+        """Product of the invariant factors."""
+        return prod(self.factors)
 
     @property
     def is_cyclic(self) -> bool:

@@ -98,12 +98,7 @@ class ComparisonStats:
     fitted_decay_rate: float | None
 
     def to_json(self) -> dict:
-        return {
-            "mean_gap": self.mean_gap,
-            "wasserstein1": self.wasserstein1,
-            "quantile_coupling_tail": list(self.quantile_coupling_tail),
-            "fitted_decay_rate": self.fitted_decay_rate,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -322,8 +317,6 @@ def _run_sweep(cfg: ExperimentConfig, swept: str, values: Sequence, row) -> Swee
     ``output_path`` is None, so the parent's ``--out`` is not repeated in every
     sub-result.  Rows are (value, row(value, mean)).
     """
-    if not values:
-        raise InvalidParamsError(f"need at least one {swept} value")
     start = time.perf_counter()
     results = tuple(
         run_prank_experiment(
@@ -342,27 +335,25 @@ def _run_sweep(cfg: ExperimentConfig, swept: str, values: Sequence, row) -> Swee
     return SweepResult(kind=cfg.kind, rows=rows, results=results, wall_time_ms=elapsed_ms)
 
 
-def run_qsweep(cfg: ExperimentConfig, qs: Sequence[float] = QSWEEP_QS) -> SweepResult:
-    """Mean p-rank across edge probabilities, all else shared.
+def run_qsweep(cfg: ExperimentConfig) -> SweepResult:
+    """Mean p-rank at each edge probability in ``QSWEEP_QS``, all else shared.
 
     The predicted law does not involve q at all; the sweep makes that
     empirical.  Rows are (q, mean p-rank).  Each q gets an independent
     sub-stream of the master seed.
     """
     _check_kind(cfg, "q-sweep")
-    return _run_sweep(cfg, "q", qs, lambda _q, mean: mean)
+    return _run_sweep(cfg, "q", QSWEEP_QS, lambda _q, mean: mean)
 
 
-def run_balanced_scaling(
-    cfg: ExperimentConfig, ns: Sequence[int] = BALANCED_NS
-) -> SweepResult:
-    """Mean p-rank divided by n, for equal part sizes (alpha = 1).
+def run_balanced_scaling(cfg: ExperimentConfig) -> SweepResult:
+    """Mean p-rank divided by n for each n in ``BALANCED_NS``, at alpha = 1.
 
     The prediction for alpha = 1 is sublinear growth, so mean/n should fall
     as n grows.  Rows are (n, mean p-rank / n).
     """
     _check_kind(cfg, "balanced-scaling")
-    return _run_sweep(cfg, "n", ns, lambda n, mean: mean / n)
+    return _run_sweep(cfg, "n", BALANCED_NS, lambda n, mean: mean / n)
 
 
 _RUNNERS = {

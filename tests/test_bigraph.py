@@ -288,6 +288,25 @@ def test_json_edge_refusals_name_the_first_bad_edge():
             assert str(exc.value) == message
 
 
+def _nested_edge(depth: int):
+    edge = 0
+    for _ in range(depth):
+        edge = [edge]
+    return edge
+
+
+@pytest.mark.parametrize("data", [
+    {"n_left": 2, "n_right": 3, "edges": [_nested_edge(980)]},
+    {"n_left": 2, "n_right": 3, "edges": "x" * 10**6},
+    {"n_left": "1" * 10**6, "n_right": 3, "edges": []},
+    {"n_left": 2, "n_right": 3, "edges": {str(i): i for i in range(10**5)}},
+], ids=["edge-nested-980-deep", "edges-long-string", "n_left-long-digit-string", "edges-large-dict"])
+def test_json_refusals_stay_short_for_huge_values(data):
+    with pytest.raises(InvalidShapeError) as exc:
+        graph_from_json(data)
+    assert len(str(exc.value)) < 200
+
+
 def test_json_edges_may_be_tuples_numpy_ints_or_repeated():
     want = [[1, 0, 0], [0, 0, 1]]
     for edges in (

@@ -16,7 +16,8 @@ import pytest
 
 import sandpiles
 from sandpiles import (
-    BipartiteGraph, graph_to_json, groups, load_graph, save_graph, theory, verify,
+    BipartiteGraph, GraphModelParams, graph_to_json, groups, load_graph, sample_bipartite,
+    save_graph, theory, verify,
 )
 from sandpiles.cli import build_parser, main
 
@@ -92,7 +93,7 @@ def test_simulate_rejects_csv_for_sweeps(capsys, tmp_path, monkeypatch):
             "--out", str(tmp_path / "x.json"),
         )
         assert code == 2
-        assert "--csv" in err
+        assert err.startswith("error: --csv")
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "x.json").exists()
 
 
@@ -196,6 +197,83 @@ def test_predict_output_is_pinned(capsys, args, sha256):
     code, out, _ = run_cli(capsys, "predict", "--n", n, "--alpha", alpha, "--p", p)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def _disjoint_union(g: BipartiteGraph, h: BipartiteGraph) -> BipartiteGraph:
+    biadj = np.zeros((g.n_left + h.n_left, g.n_right + h.n_right), dtype=np.int64)
+    biadj[: g.n_left, : g.n_right] = g.biadjacency
+    biadj[g.n_left :, g.n_right :] = h.biadjacency
+    return BipartiteGraph(g.n_left + h.n_left, g.n_right + h.n_right, biadj)
+
+
+def _sampled(n: int, alpha: float, seed: int) -> BipartiteGraph:
+    return sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=0.5, seed=seed))
+
+
+K23 = BipartiteGraph(2, 3, np.ones((2, 3), dtype=np.int64))
+
+# sha256 of the whole ``group`` stdout on graphs written by ``save_graph``.
+# The union is disconnected, so its ``spanning_trees`` is null; the alpha =
+# 1/4 graph has 100 vertices.
+PINNED_GROUP_OUTPUT = [
+    pytest.param(
+        lambda: K23, "e4d3bb304f7b039fa1aef6df55a1dc7e3084479a4fd919cc559fcd3634867335", id="k23"
+    ),
+    pytest.param(
+        lambda: _disjoint_union(K23, _sampled(10, 0.5, 3)),
+        "0218815f11b6c52f9e008f067c4d4421e1629224826fffb5bb2f6760ef0382b8",
+        id="k23-and-sampled",
+    ),
+    pytest.param(
+        lambda: _sampled(80, 0.25, 1),
+        "96e9a92a46165e4ca722636d8b0674303dc42b4dd5aadcb654d3dd0fff4c7701",
+        id="alpha-quarter-80",
+    ),
+    pytest.param(
+        lambda: _sampled(60, 0.5, 2),
+        "6ef33f333d28b24c49d5706cff90e6cfa296a08b14b3cc03be05556692428a27",
+        id="alpha-half-60",
+    ),
+    pytest.param(
+        lambda: _sampled(40, 0.75, 3),
+        "448ec13697a024d1f7acd30a3b66f6c4ad338ca90ca1046fb32e830ee8703cad",
+        id="alpha-three-quarters-40",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, sha256", PINNED_GROUP_OUTPUT)
+def test_group_output_is_pinned(tmp_path, capsys, make, sha256):
+    path = tmp_path / "graph.json"
+    save_graph(make(), path)
+    code, out, _ = run_cli(capsys, "group", "--edges", str(path))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+# sha256 of ``simulate`` stdout at n = 40, q = 1/2, 10 trials and seed
+# 12345, with every ``wall_time_ms`` set to 0.
+PINNED_SIMULATE_OUTPUT = [
+    (("prank", "0.5", "2"), "182eae2e6104eebefc1446560d75ab64e35a60cbebf8aaa41fffc9beead5a9a8"),
+    (("prank", "0.5", "3"), "247bae020f8a20e543716faf39c1d3d19e1e513d4d2f4ce5bd67f062caa4fe72"),
+    (("m-corank", "0.5", "3"), "8d3b1e24251984c994c934e1bef60cbdb3edcf9772835cee76e53190e039d4c4"),
+    (("cyclicity", "0.5", "2"), "09132296acb6618ade977d76b31656e8c266babdf8a2abb0d71d581e03105fae"),
+    (("q-sweep", "0.5", "2"), "8f096a5dce76d4c3406ba843412a7f7e6b405f5c3b52182bb4819daee1b92002"),
+    (("balanced-scaling", "1", "2"), "c7baadfd3772bd9e8ee730d64929b655aaf94434c39a6599a1449a4a0e144347"),
+]
+
+
+@pytest.mark.parametrize("args, sha256", PINNED_SIMULATE_OUTPUT)
+def test_simulate_output_is_pinned(capsys, args, sha256):
+    kind, alpha, p = args
+    code, out, _ = run_cli(
+        capsys,
+        "simulate", "--kind", kind, "--n", "40", "--alpha", alpha, "--q", "0.5",
+        "--p", p, "--trials", "10", "--seed", "12345",
+    )
+    assert code == 0
+    doc = json.loads(out, object_hook=lambda d: {**d, "wall_time_ms": 0} if "wall_time_ms" in d else d)
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == sha256
 
 
 def test_one_predict_steps_at_most_n_plus_one_numerators(capsys, monkeypatch):
@@ -339,6 +417,15 @@ def test_group_refuses_a_deeply_nested_graph_file(tmp_path, capsys, text):
     assert "Traceback" not in err
 
 
+def test_group_refusal_of_a_huge_value_is_one_short_line(tmp_path, capsys):
+    path = tmp_path / "dict.json"
+    path.write_text(json.dumps({"n_left": 2, "n_right": 3, "edges": {str(i): i for i in range(10**5)}}))
+    code, out, err = run_cli(capsys, "group", "--edges", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: edges must be a list") and err.count("\n") == 1
+    assert len(err) < 200
+
+
 def test_refused_allocation_exits_two(monkeypatch, capsys, tmp_path):
     # A refused allocation is a configuration too large for this host, not a
     # failed verification, so it exits 2.  Simulated: a real multi-terabyte
@@ -393,6 +480,9 @@ def test_verify_passes(capsys):
         "PASS gaussian-local-estimate-convergence: relative errors ['2.50e-03', '2.50e-04', '2.50e-05']",
         "4/4 checks passed",
     ]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e362c4406260821f24f3503f4d453ddbf4f4a12a5d8102c27d13cfab717da7dd"
+    )
 
 
 def test_verify_fails_on_a_wrong_smith_form_or_tree_count(monkeypatch, capsys):

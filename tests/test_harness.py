@@ -36,7 +36,7 @@ from sandpiles import (
     write_trials_csv,
 )
 from sandpiles import harness
-from sandpiles.harness import QSWEEP_QS
+from sandpiles.harness import BALANCED_NS, QSWEEP_QS
 
 
 def _cfg(**overrides) -> ExperimentConfig:
@@ -294,29 +294,20 @@ def test_qsweep_shape_and_mean_stability():
     assert len(payload["results"]) == 5
 
 
-def test_qsweep_custom_single_q():
-    sweep = run_qsweep(_cfg(kind="q-sweep", n=12, trials=3), qs=(0.5,))
-    assert len(sweep.rows) == 1
-    assert sweep.rows[0][0] == 0.5
-    with pytest.raises(InvalidParamsError):
-        run_qsweep(_cfg(kind="q-sweep"), qs=())
-
-
 def test_balanced_scaling_structure():
     cfg = _cfg(kind="balanced-scaling", alpha=1.0, trials=6, master_seed=99)
-    sweep = run_balanced_scaling(cfg, ns=(8, 12))
+    sweep = run_balanced_scaling(cfg)
     assert sweep.kind == "balanced-scaling"
-    assert [n for n, _ in sweep.rows] == [8.0, 12.0]
+    assert [n for n, _ in sweep.rows] == [float(n) for n in BALANCED_NS]
     for (n, ratio), sub in zip(sweep.rows, sweep.results):
         assert sub.config.n == int(n)
         assert ratio == pytest.approx(sub.mean / n)
 
 
 def test_sweep_subconfigs_write_no_file_and_use_substreams():
-    for run, kind, values in ((run_qsweep, "q-sweep", (0.3, 0.6)),
-                              (run_balanced_scaling, "balanced-scaling", (6, 8))):
+    for run, kind in ((run_qsweep, "q-sweep"), (run_balanced_scaling, "balanced-scaling")):
         cfg = _cfg(kind=kind, alpha=1.0, trials=2, output_path="x.json")
-        for i, sub in enumerate(run(cfg, values).results):
+        for i, sub in enumerate(run(cfg).results):
             assert sub.config.output_path is None
             assert sub.config.master_seed == derive_seed(cfg.master_seed, i)
 
@@ -325,10 +316,8 @@ def test_run_experiment_dispatch():
     assert run_experiment(_cfg(trials=2)).config.kind == "prank"
     sweep = run_experiment(_cfg(kind="q-sweep", n=12, trials=2))
     assert isinstance(sweep, SweepResult)
-    balanced = run_balanced_scaling(
-        _cfg(kind="balanced-scaling", alpha=1.0, trials=2), ns=(6,)
-    )
-    assert balanced.rows[0][0] == 6.0
+    balanced = run_experiment(_cfg(kind="balanced-scaling", alpha=1.0, trials=2))
+    assert balanced.rows[0][0] == BALANCED_NS[0]
 
 
 # ------------------------------------------------------------ file output
@@ -349,12 +338,12 @@ def test_result_json_round_trip(tmp_path):
 
 
 def test_sweep_json_round_trip(tmp_path):
-    sweep = run_qsweep(_cfg(kind="q-sweep", n=12, trials=2), qs=(0.3, 0.7))
+    sweep = run_qsweep(_cfg(kind="q-sweep", n=12, trials=2))
     path = tmp_path / "sweep.json"
     write_result_json(sweep, path)
     payload = json.loads(path.read_text())
     assert payload["schema"] == 1
-    assert payload["rows"] == [[0.3, sweep.rows[0][1]], [0.7, sweep.rows[1][1]]]
+    assert payload["rows"] == [[q, mean] for q, (_, mean) in zip(QSWEEP_QS, sweep.rows)]
 
 
 def test_trials_csv_round_trip(tmp_path):
