@@ -203,7 +203,7 @@ def reduced_laplacian(g: BipartiteGraph, drop: int) -> IntegerMatrix:
     """
     n = g.n_vertices
     if not 0 <= drop < n:
-        raise IndexError(f"drop index {drop} out of range for {n} vertices")
+        raise InvalidParamsError(f"drop index {drop} out of range for {n} vertices")
     keep = [i for i in range(n) if i != drop]
     return IntegerMatrix(_laplacian_layout(g, -1, _degrees(g))[np.ix_(keep, keep)])
 

@@ -103,19 +103,34 @@ class ComparisonStats:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Observations plus summary statistics for one experiment run."""
+    """Observations of one experiment run; the summaries are derived from them."""
 
     config: ExperimentConfig
     per_trial: tuple[int, ...]
-    mean: float
-    variance: float
-    quantiles: dict[int, float]
     wall_time_ms: float
-    version: str
     comparison: ComparisonStats | None = None
     extras: dict = field(default_factory=dict)
 
+    @property
+    def _values(self) -> np.ndarray:
+        return np.asarray(self.per_trial, dtype=np.float64)
+
+    @property
+    def mean(self) -> float:
+        return float(self._values.mean())
+
+    @property
+    def variance(self) -> float:
+        return float(self._values.var(ddof=1)) if len(self.per_trial) > 1 else 0.0
+
+    @property
+    def quantiles(self) -> dict[int, float]:
+        values = self._values
+        return {level: float(np.percentile(values, level)) for level in _QUANTILE_LEVELS}
+
     def to_json(self) -> dict:
+        from . import __version__
+
         return {
             "schema": 1,
             "config": self.config.to_json(),
@@ -125,7 +140,7 @@ class ExperimentResult:
             "quantiles": {str(k): v for k, v in self.quantiles.items()},
             "comparison": None if self.comparison is None else self.comparison.to_json(),
             "wall_time_ms": self.wall_time_ms,
-            "version": self.version,
+            "version": __version__,
             "extras": self.extras,
         }
 
@@ -160,21 +175,9 @@ def _result(
     comparison: ComparisonStats | None = None,
     extras: dict | None = None,
 ) -> ExperimentResult:
-    """Summarize ``observations``, stored as Python ints (bools become 0/1)."""
-    from . import __version__
-
-    arr = np.asarray(observations, dtype=np.float64)
-    return ExperimentResult(
-        config=cfg,
-        per_trial=tuple(int(x) for x in observations),
-        mean=float(arr.mean()),
-        variance=float(arr.var(ddof=1)) if arr.size > 1 else 0.0,
-        quantiles={level: float(np.percentile(arr, level)) for level in _QUANTILE_LEVELS},
-        wall_time_ms=elapsed_ms,
-        version=__version__,
-        comparison=comparison,
-        extras=extras or {},
-    )
+    """The result of ``observations``, stored as Python ints (bools become 0/1)."""
+    per_trial = tuple(int(x) for x in observations)
+    return ExperimentResult(cfg, per_trial, elapsed_ms, comparison, extras or {})
 
 
 def run_prank_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -260,10 +263,10 @@ def compare_to_theory(
     emp_mean = sum(observations) / trials
     mean_gap = abs(emp_mean - dist.mean())
 
-    top = max(max(observations), max(dist.support()))
+    top = max(max(observations), len(dist.pmf) - 1)
     wasserstein1 = 0.0
     emp_cdf = 0.0
-    counts = np.bincount(np.asarray(observations, dtype=np.int64), minlength=top + 1)
+    counts = np.bincount(np.asarray(observations, dtype=np.int64), minlength=top + 1).tolist()
     for k in range(top):
         emp_cdf += counts[k] / trials
         wasserstein1 += abs(emp_cdf - dist.cdf_at(k))

@@ -31,7 +31,7 @@ a rational ``prob``, so ``binom_pmf`` and ``binom_tail_gt`` are exact as well.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -241,56 +241,48 @@ def expected_rank_asymptotic(n: int, alpha: Fraction | float, p: int) -> tuple[f
 class RankDistribution:
     """The predicted law max(B(n, 1/p) - offset, 0) as an explicit finite pmf.
 
-    ``pmf`` maps each rank value to its probability; ``offset`` is the
-    truncation point floor(alpha*n).
+    ``pmf[k]`` is the probability of rank k, for k = 0..len(pmf) - 1;
+    ``offset`` is the truncation point floor(alpha*n).
     """
 
     n: int
     alpha: float
     p: int
     offset: int
-    pmf: dict[int, float]
+    pmf: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.pmf:
-            raise InvalidParamsError("pmf must be nonempty")
-        for k, prob in self.pmf.items():
-            if not isinstance(k, int) or k < 0 or k > self.n:
-                raise InvalidParamsError(f"support point {k} outside [0, {self.n}]")
-            if prob < 0:
-                raise InvalidParamsError(f"negative probability at {k}")
-        total = sum(self.pmf.values())
-        if abs(total - 1.0) > 1e-12:
+        if not isinstance(self.pmf, tuple):
+            raise InvalidParamsError(f"pmf must be a tuple, got a {type(self.pmf).__name__}")
+        for k, prob in enumerate(self.pmf):
+            # Both checks are written so that a NaN, which compares False, fails.
+            if not prob >= 0:
+                raise InvalidParamsError(f"probability {prob} at rank {k} is not >= 0")
+        total = sum(self.pmf)
+        if not abs(total - 1.0) <= 1e-12:
             raise InvalidParamsError(f"pmf sums to {total}, not 1")
 
-    def support(self) -> list[int]:
-        return sorted(self.pmf)
-
     def mean(self) -> float:
-        return sum(k * prob for k, prob in self.pmf.items())
+        return sum(k * prob for k, prob in enumerate(self.pmf))
 
     @cached_property
-    def _cumulative(self) -> tuple[list[int], list[float]]:
-        """Support points and the CDF at each, summed left to right once."""
-        points = self.support()
-        return points, list(accumulate(self.pmf[k] for k in points))
+    def _cdf(self) -> list[float]:
+        """The CDF at each rank, summed left to right once."""
+        return list(accumulate(self.pmf))
 
     def cdf_at(self, k: int) -> float:
-        points, cdf = self._cumulative
-        i = bisect_right(points, k)
-        return cdf[i - 1] if i else 0.0
+        return self._cdf[min(k, len(self.pmf) - 1)] if k >= 0 else 0.0
 
     def quantile(self, u: float) -> int:
-        """Smallest support point whose CDF reaches ``u`` (0 < u < 1)."""
+        """Smallest rank whose CDF reaches ``u`` (0 < u < 1)."""
         if not 0 < u < 1:
             raise InvalidParamsError(f"u must be in (0, 1), got {u}")
-        points, cdf = self._cumulative
-        return points[min(bisect_left(cdf, u), len(points) - 1)]
+        return min(bisect_left(self._cdf, u), len(self.pmf) - 1)
 
     def to_json(self) -> dict:
         return {
             "params": {"n": self.n, "alpha": self.alpha, "p": self.p, "offset": self.offset},
-            "pmf": [[k, self.pmf[k]] for k in self.support()],
+            "pmf": [[k, prob] for k, prob in enumerate(self.pmf)],
         }
 
 
@@ -302,17 +294,13 @@ def rank_pmf_theoretical(n: int, alpha: Fraction | float, p: int) -> RankDistrib
     rounded once.
     """
     a = _law_alpha(n, alpha, p)
-    q = Fraction(1, p)
     offset = floor_ratio(a, n)
     den = p**n
-    # Key 0 goes in first and is set last: RankDistribution.mean sums in key
-    # order, and the atom is b**n minus the tail above the cut.
-    pmf: dict[int, float] = {0: 0.0}
-    tail = 0
-    for j, num in enumerate(_pmf_numerators(n, q, offset + 1), start=1):
-        pmf[j] = num / den
+    above, tail = [], 0
+    for num in _pmf_numerators(n, Fraction(1, p), offset + 1):
+        above.append(num / den)
         tail += num
-    pmf[0] = (den - tail) / den
+    pmf = ((den - tail) / den, *above)
     return RankDistribution(n=n, alpha=float(alpha), p=p, offset=offset, pmf=pmf)
 
 

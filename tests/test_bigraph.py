@@ -189,10 +189,10 @@ def test_reduced_laplacian_drops_one_vertex():
     assert red.to_lists() == [row[1:] for row in full[1:]]
     last = reduced_laplacian(g, 3)
     assert last.to_lists() == [row[:3] for row in full[:3]]
-    with pytest.raises(IndexError):
-        reduced_laplacian(g, 4)
-    with pytest.raises(IndexError):
-        reduced_laplacian(g, -1)
+    for drop in (4, -1):
+        with pytest.raises(InvalidParamsError) as info:
+            reduced_laplacian(g, drop)
+        assert str(info.value) == f"drop index {drop} out of range for 4 vertices"
 
 
 def test_connected_components_cases():

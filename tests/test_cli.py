@@ -199,6 +199,39 @@ def test_predict_output_is_pinned(capsys, args, sha256):
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
+def _leaf_types(doc) -> set[type]:
+    if isinstance(doc, dict):
+        return set().union(*map(_leaf_types, doc.values()))
+    if isinstance(doc, (list, tuple)):
+        return set().union(*map(_leaf_types, doc))
+    return {type(doc)}
+
+
+def test_json_payloads_hold_only_plain_python_values(capsys, monkeypatch):
+    # A numpy scalar encodes like a float but is not one; every number in a
+    # payload must be a plain int or float before it is encoded.
+    plain = {str, int, float, bool, type(None)}
+    for kind, alpha in (("prank", 0.5), ("m-corank", 0.5), ("cyclicity", 0.5),
+                        ("q-sweep", 0.5), ("balanced-scaling", 1.0)):
+        cfg = sandpiles.ExperimentConfig(
+            kind=kind, n=12, alpha=alpha, q=0.5, p=3, trials=5, master_seed=7
+        )
+        assert _leaf_types(sandpiles.run_experiment(cfg).to_json()) <= plain, kind
+    payloads, real_dumps = [], json.dumps
+
+    def recording_dumps(doc):
+        payloads.append(doc)
+        return real_dumps(doc)
+
+    monkeypatch.setattr(sandpiles.cli.json, "dumps", recording_dumps)
+    for n, alpha, p in (("0", "0.5", "2"), ("100", "0.25", "3"), ("30", "1.0", "7")):
+        code, _, _ = run_cli(capsys, "predict", "--n", n, "--alpha", alpha, "--p", p)
+        assert code == 0
+    assert len(payloads) == 3
+    for doc in payloads:
+        assert _leaf_types(doc) <= plain, doc
+
+
 def _disjoint_union(g: BipartiteGraph, h: BipartiteGraph) -> BipartiteGraph:
     biadj = np.zeros((g.n_left + h.n_left, g.n_right + h.n_right), dtype=np.int64)
     biadj[: g.n_left, : g.n_right] = g.biadjacency

@@ -10,6 +10,7 @@ import pytest
 
 import sandpiles
 from sandpiles import (
+    ComparisonStats,
     EmptyInputError,
     ExperimentConfig,
     GraphModelParams,
@@ -116,7 +117,40 @@ def test_single_trial_run():
 
 def test_version_tag_matches_package():
     result = run_prank_experiment(_cfg(trials=2))
-    assert result.version == sandpiles.__version__
+    assert result.to_json()["version"] == sandpiles.__version__
+
+
+@pytest.mark.parametrize(
+    "trials, expected",
+    [
+        (
+            1,
+            '{"schema": 1, "config": {"kind": "prank", "n": 10, "alpha": 0.5, "q": 0.5, '
+            '"p": 2, "trials": 1, "master_seed": 8675309, "output_path": null}, '
+            '"per_trial": [2], "mean": 2.0, "variance": 0.0, '
+            '"quantiles": {"1": 2.0, "25": 2.0, "50": 2.0, "75": 2.0, "99": 2.0}, '
+            '"comparison": {"mean_gap": 1.384765625, "wasserstein1": 1.517578125, '
+            '"quantile_coupling_tail": [1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
+            '"fitted_decay_rate": 0.0}, "version": "0.1.0", "extras": {}}',
+        ),
+        (
+            2,
+            '{"schema": 1, "config": {"kind": "prank", "n": 10, "alpha": 0.5, "q": 0.5, '
+            '"p": 2, "trials": 2, "master_seed": 8675309, "output_path": null}, '
+            '"per_trial": [2, 1], "mean": 1.5, "variance": 0.5, '
+            '"quantiles": {"1": 1.01, "25": 1.25, "50": 1.5, "75": 1.75, "99": 1.99}, '
+            '"comparison": {"mean_gap": 0.884765625, "wasserstein1": 1.017578125, '
+            '"quantile_coupling_tail": [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0], '
+            '"fitted_decay_rate": null}, "version": "0.1.0", "extras": {}}',
+        ),
+    ],
+)
+def test_result_json_is_pinned(trials, expected):
+    # One trial takes the variance's 0.0 branch, two the ddof=1 one; the
+    # string also pins the key order.
+    doc = run_prank_experiment(_cfg(trials=trials)).to_json()
+    doc.pop("wall_time_ms")
+    assert json.dumps(doc) == expected
 
 
 # ------------------------------------------------- cross-validated content
@@ -238,7 +272,7 @@ def test_compare_to_theory_empty_input():
 
 
 def test_compare_to_theory_perfect_match_is_zero():
-    dist = RankDistribution(n=4, alpha=1.0, p=2, offset=4, pmf={0: 1.0})
+    dist = RankDistribution(n=4, alpha=1.0, p=2, offset=4, pmf=(1.0,))
     stats = compare_to_theory([0, 0, 0, 0], dist)
     assert stats.mean_gap == 0.0
     assert stats.wasserstein1 == 0.0
@@ -247,13 +281,37 @@ def test_compare_to_theory_perfect_match_is_zero():
 
 
 def test_compare_to_theory_constant_shift():
-    dist = RankDistribution(n=9, alpha=1.0, p=2, offset=9, pmf={0: 1.0})
+    dist = RankDistribution(n=9, alpha=1.0, p=2, offset=9, pmf=(1.0,))
     stats = compare_to_theory([3, 3, 3], dist)
     assert stats.mean_gap == pytest.approx(3.0)
     assert stats.wasserstein1 == pytest.approx(3.0)
     assert stats.quantile_coupling_tail[:3] == (1.0, 1.0, 1.0)
     assert stats.quantile_coupling_tail[3:] == (0.0,) * 7
     assert stats.fitted_decay_rate == pytest.approx(0.0)
+
+
+def test_compare_to_theory_values_above_the_laws_top_are_pinned():
+    # Observations past the law's top make the CDF be read above its last
+    # point; the floats are exact, so any change to the summing order shows.
+    one_point = RankDistribution(n=4, alpha=1.0, p=2, offset=4, pmf=(1.0,))
+    assert compare_to_theory([0, 2, 5, 5, 1], one_point) == ComparisonStats(
+        mean_gap=2.6,
+        wasserstein1=2.5999999999999996,
+        quantile_coupling_tail=(0.8, 0.6, 0.4, 0.4, 0.4, 0.0, 0.0, 0.0, 0.0, 0.0),
+        fitted_decay_rate=-0.1791759469228055,
+    )
+    critical = rank_pmf_theoretical(200, 0.5, 2)  # ranks 0..100
+    assert compare_to_theory([0, 0, 1, 3, 7, 12, 103], critical) == ComparisonStats(
+        mean_gap=15.182576049537179,
+        wasserstein1=15.182576049537165,
+        quantile_coupling_tail=(
+            0.7142857142857143, 0.5714285714285714, 0.5714285714285714,
+            0.42857142857142855, 0.2857142857142857, 0.2857142857142857,
+            0.14285714285714285, 0.14285714285714285, 0.14285714285714285,
+            0.14285714285714285,
+        ),
+        fitted_decay_rate=-0.2085836994627268,
+    )
 
 
 def test_compare_to_theory_tail_is_monotone():

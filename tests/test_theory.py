@@ -301,7 +301,7 @@ def test_predictions_refuse_a_non_finite_alpha(fn):
 
 def test_rank_pmf_smallest_example():
     dist = rank_pmf_theoretical(2, 0.5, 2)
-    assert dist.pmf == {0: pytest.approx(0.75), 1: pytest.approx(0.25)}
+    assert dist.pmf == pytest.approx((0.75, 0.25))
     assert dist.offset == 1
 
 
@@ -324,8 +324,8 @@ def test_rank_pmf_sums_to_one_sweep():
         p = (2, 3, 5)[stream.next_below(3)]
         alpha = Fraction(1 + stream.next_below(n), n)
         dist = rank_pmf_theoretical(n, alpha, p)
-        assert sum(dist.pmf.values()) == pytest.approx(1.0, abs=1e-12)
-        assert all(r >= 0 for r in dist.pmf)
+        assert sum(dist.pmf) == pytest.approx(1.0, abs=1e-12)
+        assert 1 <= len(dist.pmf) <= n + 1  # ranks 0..len - 1 lie in [0, n]
         assert dist.mean() >= 0
 
 
@@ -359,8 +359,8 @@ def test_rank_distribution_quantile_and_cdf():
     dist = rank_pmf_theoretical(20, 0.5, 2)
     assert dist.cdf_at(-1) == 0.0
     assert dist.cdf_at(20) == pytest.approx(1.0)
-    assert dist.quantile(1e-9) == min(dist.support())
-    assert dist.quantile(1 - 1e-12) == max(dist.support())
+    assert dist.quantile(1e-9) == 0
+    assert dist.quantile(1 - 1e-12) == len(dist.pmf) - 1
     # Quantiles are monotone in the level.
     levels = [0.01, 0.25, 0.5, 0.75, 0.99]
     values = [dist.quantile(u) for u in levels]
@@ -375,7 +375,7 @@ def test_rank_distribution_cdf_and_quantile_match_full_scans():
     # bit for bit, at every integer and at levels on and between CDF values.
     for n, alpha, p in ((20, 0.5, 2), (300, 0.25, 3), (1000, 0.1, 5), (57, Fraction(1, 3), 3)):
         dist = rank_pmf_theoretical(n, alpha, p)
-        points = dist.support()
+        points = range(len(dist.pmf))
         for k in range(-2, n + 2):
             scan = 0
             for j in points:
@@ -395,9 +395,22 @@ def test_rank_distribution_cdf_and_quantile_match_full_scans():
 
 def test_rank_distribution_validates_pmf():
     with pytest.raises(ValueError):
-        RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf={0: 0.5, 1: 0.4})
+        RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf=(0.5, 0.4))
     with pytest.raises(ValueError):
-        RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf={-1: 0.5, 0: 0.5})
+        RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf=(1.5, -0.5))
+    with pytest.raises(ValueError):
+        RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf=())  # sums to 0
+
+
+def test_rank_distribution_refuses_nan_and_a_dict():
+    # A NaN compares False both ways, so it must fail the checks, not pass
+    # them; a dict, iterated, would be read as its keys.
+    for pmf in ((math.nan, 1.0), (1.0, math.nan), (0.5, 0.5, math.nan)):
+        with pytest.raises(InvalidParamsError, match=r"is not >= 0"):
+            RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf=pmf)
+    for pmf in ({0: 0.5, 1: 0.5}, [1.0]):
+        with pytest.raises(InvalidParamsError, match=r"pmf must be a tuple, got a (dict|list)"):
+            RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf=pmf)
 
 
 def test_rank_distribution_json_shape():
