@@ -47,15 +47,15 @@ from .intmat import (
 # q = 0.5, seeds 1-3, on a 2-core host:
 #
 #   vertices  alpha  sandpile_group  tree count   group CLI   peak RSS (CLI)
-#   350       1      0.30-0.40 s     0.64-0.70 s  1.5-1.7 s   120-121 MB
-#   350       3/4    0.28-0.38 s     0.40-0.47 s  1.2-1.5 s   104-105 MB
-#   350       1/4    0.43-0.47 s     0.09-0.11 s  1.0-1.1 s   75-76 MB
-#   400       1      0.43-0.50 s     1.0-1.3 s    2.1-2.2 s   148 MB
-#   400       1/4    0.55-0.65 s     0.15-0.16 s  1.2-1.4 s   79-80 MB
+#   350       1      0.14-0.25 s     0.41-0.42 s  1.0-1.2 s   117-120 MB
+#   350       3/4    0.11-0.18 s     0.25-0.26 s  0.8 s       105 MB
+#   350       1/4    0.12-0.14 s     0.03 s       0.5 s       76 MB
+#   400       1      0.18-0.30 s     0.69-0.77 s  1.4-1.7 s   144 MB
+#   400       1/4    0.22-0.30 s     0.05-0.07 s  0.6-0.9 s   80-81 MB
 #
-# The first two columns are timed in process after a warm-up call, the CLI
-# column times the whole ``group`` command (400-vertex rows with the guard
-# raised to 400).  Every accepted size takes seconds; the guard stays at 350
+# The first two columns are timed in process, best of three after a
+# warm-up call, the CLI column times the whole ``group`` command (400-vertex
+# rows with the guard raised to 400).  Every accepted size takes seconds; the guard stays at 350
 # until ``group`` and ``cyclicity`` are given guards of their own.
 SNF_VERTEX_GUARD = 350
 

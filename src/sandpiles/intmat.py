@@ -11,13 +11,13 @@ is a unit (+-1, or a unit mod the modulus described below) becomes a
 pivot, one row update clears the rows below it, and each such pivot is an
 invariant factor 1.  Almost every pivot of a graph Laplacian is a -1, so
 that pass leaves a small block: on reduced Laplacians of 90-105 vertices,
-11-50 rows at alpha = 1/4 and at most 15 at alpha = 1/2 or 3/4.  On what
-is left the routine is the classical elimination: repeatedly move the
-smallest-magnitude nonzero entry of the working submatrix to the pivot
-position, reduce its row and column by floor-division remainders, and once
-both are clear record the pivot and drop its row and column.  A pairwise
-gcd/lcm pass on the recorded pivots then enforces the
-divisibility chain d1 | d2 | ... .  The gcd/lcm pass is also exposed on its
+and on their Schur blocks S below, 11-50 rows at alpha = 1/4 and at most
+16 at alpha = 1/2 or 3/4.  On what is left the routine is the classical
+elimination: repeatedly move the smallest-magnitude nonzero entry of the
+working submatrix to the pivot position, reduce its row and column by
+floor-division remainders, and once both are clear record the pivot and
+drop its row and column.  A pairwise gcd/lcm pass on the recorded pivots
+then enforces the divisibility chain d1 | d2 | ... .  The gcd/lcm pass is also exposed on its
 own (:func:`normalize_divisor_chain`) because combining the invariant factors
 of a direct sum needs exactly the same fix-up.
 
@@ -26,21 +26,35 @@ symmetric residue mod m, which is elimination on ``[A | m*I]``, and returns
 the Smith form of that matrix: gcd(s_i, m) for each invariant factor s_i of
 A (Hafner-McCurley 1991).  :func:`smith_form_by_largest_factor` uses this
 to get the Smith form of a nonsingular N x N matrix A, D = |det A|, with no
-big-integer elimination (Eberly-Giesbrecht-Villard 2000):
+big-integer elimination (Eberly-Giesbrecht-Villard 2000).  Each of its
+three steps works modulo some integer, and there the leading diagonal
+block of A is eliminated in closed form (:func:`_lead_schur`).  On a
+reduced Laplacian that block is the diagonal of the left degrees d_i, the
+larger part on the paper's graphs.  Its rows whose d_i is a unit mod the
+modulus go by one row scaling and one product, and leave the Schur block
+S on the other indices.  At 90-105 vertices S has 19-44 rows mod the
+primes, where every d_i is a unit, and 48-84 under the loop's moduli
+above 1, which share factors with many degrees.  An empty lead leaves S = A.
 
 1. Solve ``A X = B`` for a fixed-seed integer block B by Dixon p-adic
    lifting modulo one prime P < 2**26, with as many lifting steps as
    Hadamard's bound H >= D needs for rational reconstruction to be unique.
    The common denominator c of X divides s_N, since the entries of
-   inverse(A) have denominators dividing s_N.  The elimination that
-   inverts A mod P also gives det A mod P, from its pivots and swaps.
-2. Recover m = D / c <= H / c by the CRT, from det A mod P and from det A
-   mod as many 31-bit primes q as it takes to cover 2 H / c; P alone
-   covers it on two thirds of the graphs of 90-105 vertices.  P divides
-   neither D nor c.  Then D = m c.
+   inverse(A) have denominators dividing s_N.  Only S is inverted mod P,
+   and the 2 x 2 block-inverse formula gives inverse(A) mod P.  The
+   elimination of S gives det S mod P, from its pivots and swaps, and
+   det A = prod(d_i) det S.  Every degree is below N < P, so each is a
+   unit mod P.
+2. Recover m = D / c <= H / c by the CRT, from det A mod P and from
+   prod(d_i) det S mod as many 31-bit primes q as it takes to cover
+   2 H / c; P alone covers it on two thirds of the graphs of 90-105
+   vertices.  P divides neither D nor c.  Then D = m c.
 3. The loop modulo any multiple of s_(N-1) returns s_i exactly for i < N,
    since each such s_i divides it.  m is one such multiple, because
-   s_1 ... s_(N-1) divides it.  Then s_N = D / (s_1 ... s_(N-1)).
+   s_1 ... s_(N-1) divides it.  Then s_N = D / (s_1 ... s_(N-1)).  Modulo
+   the loop's modulus the Smith form of A is one 1 per eliminated d_i
+   followed by that of S, so the loop runs on S alone; a d_i that shares
+   a factor with the modulus stays in S.
 
 Random-graph sandpile groups are close to cyclic, so m is often 1.  Where
 the p-rank is large (alpha = 1/4, p = 2) m reaches 30-40 bits at N ~ 100,
@@ -56,12 +70,11 @@ from its residues: step 2 above, and the tree count in ``groups``, which
 takes the determinant of its own matrix mod primes below 2**27.  That count
 needs 14-19 primes at 90-105 vertices and 84 at 350, so
 :func:`_det_mod_primes` eliminates all of them in one loop over an int64
-stack of shape (primes x n x n), one prime per layer; step 2 needs at
-most two primes besides P there and keeps ``_det_mod_p``.  ``gfp._echelon``
-behind it clears only the rows with a nonzero in the pivot column, while
-the stacked loop updates every row below the pivot in every layer.  On
-the graphs of 90-105 vertices, a one-layer stack took 6.8 ms per graph
-against 3.5 ms, and a two-layer stack 10.5 ms against 7.0 ms.
+stack of shape (primes x n x n), one prime per layer.  Step 2 needs at
+most two primes besides P there, and keeps ``_det_mod_p``: on the Schur
+blocks of the graphs of 90-105 vertices a one-layer stack took 0.54 ms
+per graph against 0.48 ms, and a two-layer stack 0.72 ms against 0.99 ms,
+but 163 of 240 such graphs need no prime besides P, 71 one and 6 two.
 :func:`determinant` is the Bareiss reference that ``verify`` and the
 tests compare with.
 """
@@ -312,6 +325,90 @@ def _rational_denominator(z: int, modulus: int, numer_bound: int, denom_bound: i
     return abs(t1)
 
 
+def _product_mod(x: np.ndarray, y: np.ndarray, modulus: int) -> np.ndarray:
+    """Exact ``(x @ y) % modulus`` for integer matrices.
+
+    Each entry is a sum of ``inner`` products of at most max|x| max|y|.
+    Below 2**53 the product runs through BLAS in float64, as in
+    ``gfp._matmul_mod``, and otherwise in the arrays' own type.  Here int64
+    arrays come only with moduli below 2**31, and then int64 is exact too:
+    one factor is a block of an input with n * max|entry| < 2**31 and the
+    other holds residues.  A Laplacian's off-diagonal blocks hold 0/-1, so
+    its products take the float64 path at every int64 modulus.
+    """
+    bound = x.shape[1] * int(np.abs(x).max(initial=0)) * int(np.abs(y).max(initial=0))
+    if bound < 2**53:
+        return (x.astype(np.float64) @ y.astype(np.float64)).astype(np.int64) % modulus
+    return x @ y % modulus
+
+
+def _lead_schur(
+    a: np.ndarray, modulus: int
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """Eliminate the unit rows of the leading diagonal block of ``a`` mod ``modulus``.
+
+    The lead is the longest leading block ``a[:k, :k]`` that is diagonal:
+    the left degrees of a reduced Laplacian.  U holds its indices whose
+    diagonal entry d_i is a unit mod ``modulus``, and T the other indices in
+    order.  With U first, ``a`` is [[D, E], [F, G]], and mod ``modulus`` its
+    Schur block S = G - F (D^-1 E) takes one row scaling and one product.
+    Row and column operations invertible mod ``modulus`` take ``a`` to
+    D (+) S, so det(a) = prod(d_i) det(S), and the Smith form of ``a`` mod
+    ``modulus`` is |U| ones followed by that of S.  An empty U leaves S = a.
+
+    Returns (U then T as one index array, |U|, the inverses of the d_i mod
+    ``modulus``, S), with S as residues in [0, ``modulus``): int64 below
+    2**31, Python ints above.  ``a`` is int64 with n * max|entry| < 2**31.
+    """
+    n = a.shape[0]
+    off = a != 0
+    np.fill_diagonal(off, False)
+    # Column j ends the lead when a[i, j] or a[j, i] is nonzero for an i < j.
+    ends = np.triu(off | off.T).any(axis=0)
+    lead = int(ends.argmax()) if ends.any() else n
+    diagonal = np.diagonal(a)[:lead].tolist()
+    units = [i for i, d in enumerate(diagonal) if gcd(d, modulus) == 1]
+    kept = np.ones(n, dtype=bool)
+    kept[units] = False
+    order = np.concatenate([np.array(units, dtype=np.int64), np.flatnonzero(kept)])
+    k = len(units)
+    work = a[np.ix_(order, order)]
+    if modulus >= 2**31:
+        work = work.astype(object)
+    inverses = np.array([pow(diagonal[i], -1, modulus) for i in units], dtype=work.dtype)
+    s = work[k:, k:] % modulus
+    if k:
+        scaled = inverses[:, None] * work[:k, k:] % modulus
+        s -= _product_mod(work[k:, :k], scaled, modulus)
+        s %= modulus
+    return order, k, inverses, s
+
+
+def _inverse_mod(a: np.ndarray, prime: int) -> tuple[np.ndarray, int]:
+    """``inverse(a)`` mod ``prime`` and det(a) mod ``prime``, from the Schur block.
+
+    With the lead eliminated (:func:`_lead_schur`) only S is inverted, and
+    the 2 x 2 block-inverse formula gives the rest:
+    [[D^-1 + D^-1 E S^-1 F D^-1, -D^-1 E S^-1], [-S^-1 F D^-1, S^-1]].
+    Raises :class:`SingularBlockError` when ``a`` is singular mod ``prime``.
+    """
+    order, k, d, s = _lead_schur(a, prime)
+    s_inv, det_s = _solve(s, np.eye(s.shape[0], dtype=np.int64), prime)
+    permuted = a[np.ix_(order, order)]
+    e, f = permuted[:k, k:], permuted[k:, :k]
+    lower = -_product_mod(s_inv, f, prime) * d % prime
+    right = -d[:, None] * _product_mod(e, s_inv, prime) % prime
+    upper = (np.diag(d) - d[:, None] * _product_mod(e, lower, prime)) % prime
+    inverse = np.empty_like(a)
+    inverse[np.ix_(order, order)] = np.block([[upper, right], [lower, s_inv]])
+    return inverse, _lead_det(a, order[:k], det_s, prime)
+
+
+def _lead_det(a: np.ndarray, units: np.ndarray, det_s: int, modulus: int) -> int:
+    """det(a) mod ``modulus`` as prod(d_i) det(S), d_i the eliminated lead entries."""
+    return prod(np.diagonal(a)[units].tolist()) * det_s % modulus
+
+
 def _solution_denominator(
     a: np.ndarray, b: np.ndarray, hadamard: int
 ) -> tuple[int, int, int] | None:
@@ -326,10 +423,9 @@ def _solution_denominator(
     ``a`` is singular mod every prime tried.
     """
     numer_bound = hadamard * (isqrt(int((b * b).sum(axis=0).max())) + 1)
-    identity = np.eye(a.shape[0], dtype=np.int64)
     for prime in _LIFT_PRIMES:
         try:
-            inverse, det_residue = _solve(a % prime, identity, prime)
+            inverse, det_residue = _inverse_mod(a, prime)
         except SingularBlockError:
             continue
         break
@@ -343,9 +439,13 @@ def _solution_denominator(
         residual = (residual - a @ digit) // prime
         digits.append(digit)
         modulus *= prime
+    # Two digits make one int64 digit below P**2 < 2**52, so the Horner
+    # steps on Python ints run in base P**2, half as many.
+    if len(digits) % 2:
+        digits.append(np.zeros_like(b))
     lifted = np.zeros(b.shape, dtype=object)
-    for digit in reversed(digits):
-        lifted = lifted * prime + digit
+    for low, high in reversed(list(zip(digits[::2], digits[1::2]))):
+        lifted = lifted * prime**2 + (low + prime * high)
     # Entries that are already integral after scaling by c need no
     # reconstruction; c grows to the lcm of the denominators seen.
     c = 1
@@ -395,7 +495,10 @@ def _determinant_quotient(
     ``prime`` > 2 * bound.
     """
     primes = [prime, *_covering_primes(2**31, 2 * bound // prime, c)]
-    residues = [det_residue, *(_det_mod_p(a % q, q) for q in primes[1:])]
+    residues = [det_residue]
+    for q in primes[1:]:
+        order, k, _, s = _lead_schur(a, q)
+        residues.append(_lead_det(a, order[:k], _det_mod_p(s, q), q))
     return _crt_signed([r * pow(c, -1, q) % q for r, q in zip(residues, primes)], primes)
 
 
@@ -414,6 +517,7 @@ def _det_mod_primes(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
     """
     k, n = a.shape[0], a.shape[-1]
     q = np.asarray(primes, dtype=np.int64)
+    moduli = q.tolist()
     per_row = q[:, None]
     largest = int(q.max(initial=2))
     lazy = (largest - 1) * (1 + n * (largest - 1)) < 2**63
@@ -434,7 +538,7 @@ def _det_mod_primes(a: np.ndarray, primes: np.ndarray) -> np.ndarray:
         a[:, c, c:] %= per_row
         pivots = col[:, 0]
         det = det * pivots % q
-        inverses = [pow(int(v), -1, int(p)) if v else 0 for v, p in zip(pivots, q)]
+        inverses = [pow(v, -1, p) if v else 0 for v, p in zip(pivots.tolist(), moduli)]
         factors = col[:, 1:] * np.array(inverses, dtype=np.int64)[:, None] % per_row
         block = a[:, c + 1 :, c + 1 :]
         block -= factors[:, :, None] * a[:, c, None, c + 1 :]
@@ -473,8 +577,8 @@ def smith_form_by_largest_factor(m: IntegerMatrix) -> tuple[int, ...]:
     det = quotient * c
 
     def chain_mod(modulus: int) -> tuple[int, ...]:
-        work = a if modulus < 2**31 else a.astype(object)
-        return _smith_diagonal(_symmetric(work, modulus), modulus)
+        _, k, _, s = _lead_schur(a, modulus)
+        return (1,) * k + _smith_diagonal(_symmetric(s, modulus), modulus)
 
     # quotient is m = D / c.  When c = s_N, s_(N-1) divides gcd(m, c), often
     # a far smaller modulus.  Whatever the modulus, each leading factor t_i

@@ -254,10 +254,15 @@ class RankDistribution:
     def __post_init__(self):
         if not isinstance(self.pmf, tuple):
             raise InvalidParamsError(f"pmf must be a tuple, got a {type(self.pmf).__name__}")
-        for k, prob in enumerate(self.pmf):
-            # Both checks are written so that a NaN, which compares False, fails.
-            if not prob >= 0:
-                raise InvalidParamsError(f"probability {prob} at rank {k} is not >= 0")
+        try:
+            for k, prob in enumerate(self.pmf):
+                # Both checks are written so that a NaN, which compares False, fails.
+                if not prob >= 0:
+                    raise InvalidParamsError(f"probability {prob} at rank {k} is not >= 0")
+        except TypeError:
+            raise InvalidParamsError(
+                f"probability {prob!r} at rank {k} is not a real number"
+            ) from None
         total = sum(self.pmf)
         if not abs(total - 1.0) <= 1e-12:
             raise InvalidParamsError(f"pmf sums to {total}, not 1")

@@ -18,6 +18,7 @@ import numpy as np
 
 from sandpiles import (
     BipartiteGraph,
+    SplitMix64,
     connected_components,
     corank_mod_p,
     laplacian_mod_p,
@@ -125,6 +126,45 @@ def solution_denominator_by_fractions(rows: list[list[int]], b: list[int]) -> in
                 factor = work[r][col]
                 work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
     return lcm(*(row[size].denominator for row in work))
+
+
+def det_by_fractions(rows: list[list[int]]) -> int:
+    """Determinant by Gaussian elimination over Fractions."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(work)):
+        piv = next((r for r in range(col, len(work)) if work[r][col] != 0), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            work[col], work[piv] = work[piv], work[col]
+            det = -det
+        det *= work[col][col]
+        for r in range(col + 1, len(work)):
+            factor = work[r][col] / work[col][col]
+            work[r] = [v - factor * w for v, w in zip(work[r], work[col])]
+    return int(det)
+
+
+def matrix_with_diagonal_lead(
+    stream: SplitMix64, size: int, lead: int, lead_values, span: int = 3
+) -> list[list[int]]:
+    """A nonsingular size x size integer matrix whose leading lead x lead block is diagonal.
+
+    The lead's diagonal entries are drawn from ``lead_values`` and every
+    other entry from [-span, span].  Below the full size, entry (0, lead) is
+    1, so no longer leading block is diagonal.  Matrices are redrawn until
+    the determinant is nonzero.
+    """
+    while True:
+        rows = [[stream.next_below(2 * span + 1) - span for _ in range(size)] for _ in range(size)]
+        for i in range(lead):
+            rows[i][:lead] = [0] * lead
+            rows[i][i] = lead_values[stream.next_below(len(lead_values))]
+        if lead < size:
+            rows[0][lead] = 1
+        if det_by_fractions(rows):
+            return rows
 
 
 def rank_by_minors(m: PrimeFieldMatrix) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 import tracemalloc
 
@@ -168,6 +169,20 @@ def test_disconnected_union_of_complete_graphs():
     diag = smith_normal_form(laplacian(g))
     assert diag.count(0) == 2  # one zero row per component
     assert GroupInvariants.from_snf_diagonal(diag).factors == (2, 2, 12)
+
+
+def test_sandpile_group_factor_chains_are_pinned_at_the_benchmark_windows():
+    # sha256 of the chains of 30 graphs at (alpha, n) = (1/4, 80), (3/4, 60)
+    # and (1/2, 60), q = 1/2: N = 90-105, where the Smith route eliminates
+    # the left degrees in closed form.  Recorded before that elimination.
+    chains = []
+    for i in range(30):
+        alpha, n = ((0.25, 80), (0.75, 60), (0.5, 60))[i % 3]
+        g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=0.5, seed=900 + i))
+        chains.append(",".join(map(str, sandpile_group(g).factors)))
+    assert hashlib.sha256(";".join(chains).encode()).hexdigest() == (
+        "4a5af89e8669b0a6f0425e48fd18b9816021a2f2a13ee65a79d909e1a3095384"
+    )
 
 
 def test_sandpile_group_matches_the_plain_loop_on_seeded_graphs(monkeypatch):

@@ -9,7 +9,9 @@ import pytest
 
 from oracles import (
     det_by_cofactors,
+    det_by_fractions,
     divisor_chain_by_pairwise_gcd,
+    matrix_with_diagonal_lead,
     smith_diagonal_by_minors,
     solution_denominator_by_fractions,
 )
@@ -215,6 +217,93 @@ def test_lifting_prime_dividing_the_determinant_moves_to_the_next_prime():
     assert smith_form_by_largest_factor(IntegerMatrix(rows)) == (1, 1, p0 * p1 * p2)
     singular = IntegerMatrix([[2, 4, 6], [1, 2, 3], [0, 1, 5]])
     assert smith_form_by_largest_factor(singular) == smith_normal_form(singular) == (1, 1, 0)
+
+
+# Lead entries: units mod every modulus, entries that share a factor with
+# the small moduli of the pivot loop, and 0, which is a unit mod 1 alone.
+LEAD_VALUES = (1, -1, 2, 3, 4, 6, -6, 9, 12, 5, 0)
+
+
+def test_largest_factor_route_on_diagonal_leads_matches_the_plain_loop(monkeypatch):
+    # A lone zero lead entry is no unit, so nothing is eliminated (S = a);
+    # then partial leads, and leads that cover the whole matrix.
+    calls = []
+    schur = intmat._lead_schur
+
+    def spy(a, modulus):
+        result = schur(a, modulus)
+        calls.append((modulus, result[1]))
+        return result
+
+    monkeypatch.setattr(intmat, "_lead_schur", spy)
+    stream = SplitMix64(4409)
+    skipped = 0
+    for trial in range(90):
+        size = 2 + trial % 9
+        cases = ((1, (0,)), (1 + trial % size, LEAD_VALUES), (size, LEAD_VALUES[:-1]))
+        lead, values = cases[trial % 3]
+        rows = matrix_with_diagonal_lead(stream, size, lead, values)
+        m = IntegerMatrix(rows)
+        calls.clear()
+        assert smith_form_by_largest_factor(m) == smith_normal_form(m), rows
+        assert calls
+        if values == (0,):
+            assert all(units == 0 for q, units in calls if q > 1)
+        # A lead entry that shares a factor with a pivot-loop modulus stays in S.
+        skipped += any(1 < q < 2**26 and units < lead for q, units in calls[1:])
+    assert skipped >= 5
+
+
+def test_lead_schur_gives_the_smith_form_and_determinant_mod_m():
+    stream = SplitMix64(5501)
+    primes = (2, 3, 5, _LIFT_PRIMES[0], 2**31 - 1)
+    for trial in range(60):
+        size = 2 + trial % 5
+        lead = 1 + trial % size
+        rows = matrix_with_diagonal_lead(stream, size, lead, LEAD_VALUES)
+        a = np.array(rows, dtype=np.int64)
+        for modulus in LOOP_MODULI[1:]:
+            order, k, inverses, s = intmat._lead_schur(a, modulus)
+            assert sorted(order.tolist()) == list(range(size))
+            assert order[k:].tolist() == sorted(order[k:].tolist())
+            lead_entries = [rows[i][i] for i in order[:k].tolist()]
+            assert all(math.gcd(d, modulus) == 1 for d in lead_entries)
+            assert [d * v % modulus for d, v in zip(lead_entries, inverses)] == [1] * k
+            assert s.dtype == (np.int64 if modulus < 2**31 else object)
+            chain = (1,) * k + _loop_mod(s.tolist(), modulus) if k < size else (1,) * size
+            assert chain == _chain_by_minors(rows, modulus), (rows, modulus)
+        for q in primes:
+            order, k, _, s = intmat._lead_schur(a, q)
+            det = intmat._lead_det(a, order[:k], _det_mod_p(s, q), q)
+            assert det == det_by_fractions(rows) % q
+
+
+def test_solution_denominator_on_diagonal_leads_matches_fraction_solve():
+    stream = SplitMix64(7703)
+    for trial in range(40):
+        size = 2 + trial % 8
+        rows = matrix_with_diagonal_lead(stream, size, 1 + trial % size, LEAD_VALUES[:-1])
+        b = _random_entries(stream, size, 2, -(2**15), 2**15 - 1)
+        got = _solution_denominator(
+            np.array(rows, dtype=np.int64), np.array(b, dtype=np.int64), _hadamard(rows)
+        )
+        want = math.lcm(*(solution_denominator_by_fractions(rows, col) for col in zip(*b)))
+        prime = _LIFT_PRIMES[0]
+        assert got == (want, prime, det_by_fractions(rows) % prime)
+    # Lead (2, 3) and det = 6 x - 5 = k P: S = x - 1/2 - 1/3 is singular
+    # mod the first lifting prime P, so the next prime is taken.
+    p0, p1, _ = _LIFT_PRIMES
+    k = next(k for k in range(1, 7) if k * p0 % 6 == 1)
+    rows = [[2, 0, 1], [0, 3, 1], [1, 1, (k * p0 + 5) // 6]]
+    assert det_by_fractions(rows) == k * p0
+    b = np.array([[5], [-7], [3]], dtype=np.int64)
+    assert _solution_denominator(np.array(rows, dtype=np.int64), b, _hadamard(rows)) == (
+        solution_denominator_by_fractions(rows, [5, -7, 3]),
+        p1,
+        k * p0 % p1,
+    )
+    m = IntegerMatrix(rows)
+    assert smith_form_by_largest_factor(m) == smith_normal_form(m) == (1, 1, k * p0)
 
 
 def test_largest_factor_route_runs_moduli_over_two_to_the_31_on_python_ints(monkeypatch):

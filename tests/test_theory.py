@@ -413,6 +413,12 @@ def test_rank_distribution_refuses_nan_and_a_dict():
             RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf=pmf)
 
 
+def test_rank_distribution_refuses_entries_that_are_not_real_numbers():
+    for pmf, bad in ((("a",), "'a'"), ((None, 1.0), "None"), ((1 + 0j,), r"\(1\+0j\)")):
+        with pytest.raises(InvalidParamsError, match=rf"probability {bad} at rank 0 is not a real"):
+            RankDistribution(n=4, alpha=0.5, p=2, offset=2, pmf=pmf)
+
+
 def test_rank_distribution_json_shape():
     dist = rank_pmf_theoretical(4, 0.5, 2)
     payload = dist.to_json()
