@@ -34,7 +34,14 @@ import numpy as np
 
 from .bigraph import BipartiteGraph, connected_components, reduced_laplacian
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
-from .gfp import PrimeFieldMatrix, _kernel_basis, _matmul_mod, corank_mod_p, is_prime
+from .gfp import (
+    PrimeFieldMatrix,
+    _check_prime,
+    _kernel_basis,
+    _matmul_mod,
+    corank_mod_p,
+    is_prime,
+)
 from .intmat import (
     _covering_primes,
     _crt_signed,
@@ -153,13 +160,14 @@ def p_rank(g: BipartiteGraph, p: int) -> int:
     """
     if not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p}")
+    # Refuses p >= 2**31 and a non-int p before any elimination.
+    _check_prime(p)
     b = g.biadjacency
     d_1 = b.sum(axis=1) % p
     in_z = d_1 == 0
-    # Built before any elimination: it refuses p >= 2**31 and a non-int p.
-    b_z = PrimeFieldMatrix(p, b[in_z])
+    b_z = b[in_z]
     n_comps = len(connected_components(g))
-    kernel = _kernel_basis(b_z.entries, p)
+    kernel = _kernel_basis(b_z, p)
     b_s = b[~in_z]
     residues, which = np.unique(d_1[~in_z], return_inverse=True)
     d_s_inv = np.array([pow(int(d), -1, p) for d in residues], dtype=np.int64)[which]
@@ -168,7 +176,7 @@ def p_rank(g: BipartiteGraph, p: int) -> int:
     c = _matmul_mod(kernel * d_2 % p, kernel.T, p)
     c -= _matmul_mod((x * d_s_inv[:, None] % p).T, x, p)
     corank = corank_mod_p(PrimeFieldMatrix(p, c % p))
-    return b_z.rows - g.n_right + kernel.shape[0] + corank - n_comps
+    return b_z.shape[0] - g.n_right + kernel.shape[0] + corank - n_comps
 
 
 def _schur_block_mod_primes(kept: np.ndarray, degrees: np.ndarray, moduli: np.ndarray) -> np.ndarray:

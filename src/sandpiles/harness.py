@@ -341,9 +341,9 @@ def _run_sweep(cfg: ExperimentConfig, swept: str, values: Sequence, row) -> Swee
 def run_qsweep(cfg: ExperimentConfig) -> SweepResult:
     """Mean p-rank at each edge probability in ``QSWEEP_QS``, all else shared.
 
-    The predicted law does not involve q at all; the sweep makes that
-    empirical.  Rows are (q, mean p-rank).  Each q gets an independent
-    sub-stream of the master seed.
+    For fixed q the predicted law does not involve q as n -> infinity; the
+    sweep makes that empirical.  Rows are (q, mean p-rank).  Each q gets an
+    independent sub-stream of the master seed.
     """
     _check_kind(cfg, "q-sweep")
     return _run_sweep(cfg, "q", QSWEEP_QS, lambda _q, mean: mean)

@@ -140,9 +140,6 @@ class IntegerMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def to_lists(self) -> list[list[int]]:
-        return [[int(v) for v in row] for row in self.entries]
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented

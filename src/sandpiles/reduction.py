@@ -38,12 +38,11 @@ from .bigraph import (
     GraphModelParams,
     floor_ratio,
     laplacian_mod_p,
-    sample_bipartite,
     sample_bipartite_from_stream,
 )
 from .errors import InvalidParamsError, TooSmallError
 from .gfp import PrimeFieldMatrix, corank_mod_p, schur_complement
-from .rng import SplitMix64, derive_seed
+from .rng import SplitMix64
 
 REGIME_ABOVE_CUT = "zero-diagonal count at or above the cut"
 REGIME_BELOW_CUT = "zero-diagonal count below the cut"
@@ -176,38 +175,3 @@ def corank_pipeline(m: ReducedModelMatrix) -> PipelineReport:
         regime=regime,
     )
 
-
-def diag_uniformity_stat(
-    n: int,
-    alpha: float,
-    q: float,
-    p: int,
-    trials: int,
-    seed: int,
-    entry_index: int = 0,
-) -> tuple[float, float]:
-    """Chi-square test of one delta1 diagonal entry against uniform on Z/pZ.
-
-    Samples ``trials`` independent graphs, reads diagonal entry
-    ``entry_index`` of each trimmed matrix (an entry of the D1 block), and
-    returns (statistic, p-value) for goodness of fit to the uniform
-    distribution.  Large p-values mean uniformity is not rejected; at small n
-    the geometric bias is real and visible, so callers assert only at
-    moderate n.
-    """
-    if trials < 1:
-        raise InvalidParamsError(f"trials must be >= 1, got {trials}")
-    if not 0 <= entry_index < n - p:
-        raise InvalidParamsError(
-            f"entry_index {entry_index} outside the D1 block (split={n - p})"
-        )
-    counts = np.zeros(p, dtype=np.int64)
-    for t in range(trials):
-        params = GraphModelParams(n=n, alpha=alpha, q=q, seed=derive_seed(seed, t))
-        d1 = build_delta1(sample_bipartite(params), p)
-        counts[int(d1.matrix.entries[entry_index, entry_index])] += 1
-    expected = trials / p
-    stat = float(((counts - expected) ** 2 / expected).sum())
-    from scipy.stats import chi2  # slow to import; only this diagnostic needs it
-    pvalue = float(chi2.sf(stat, p - 1))
-    return stat, pvalue

@@ -234,7 +234,7 @@ def test_criterion_9_snf_graph_oracles(capsys):
     for g in _all_connected_small_graphs():
         base = sandpile_group(g)
         red = reduced_laplacian(g, g.n_vertices - 1)
-        oracle = tuple(d for d in smith_diagonal_by_minors(red.to_lists()) if d >= 2)
+        oracle = tuple(d for d in smith_diagonal_by_minors(red.entries.tolist()) if d >= 2)
         ok = ok and base.factors == oracle
         for drop in range(g.n_vertices):
             diag = smith_normal_form(reduced_laplacian(g, drop))

@@ -165,7 +165,7 @@ def test_laplacian_shape_and_row_sums():
 def test_laplacian_hand_value():
     # Path b0 - a0 - b1 written as a 1 x 2 biadjacency of all ones.
     g = BipartiteGraph(1, 2, np.array([[1, 1]]))
-    assert laplacian(g).to_lists() == [
+    assert laplacian(g).entries.tolist() == [
         [2, -1, -1],
         [-1, 1, 0],
         [-1, 0, 1],
@@ -175,7 +175,7 @@ def test_laplacian_hand_value():
 def test_laplacian_mod_p_matches_integer_laplacian():
     for seed in range(30):
         g = sample_bipartite(GraphModelParams(n=10, alpha=0.6, q=0.5, seed=seed))
-        full = np.array(laplacian(g).to_lists(), dtype=object)
+        full = laplacian(g).entries
         for p in (2, 3, 5):
             fast = laplacian_mod_p(g, p)
             assert fast.p == p
@@ -184,11 +184,11 @@ def test_laplacian_mod_p_matches_integer_laplacian():
 
 def test_reduced_laplacian_drops_one_vertex():
     g = BipartiteGraph(2, 2, np.ones((2, 2), dtype=np.int64))
-    full = laplacian(g).to_lists()
+    full = laplacian(g).entries.tolist()
     red = reduced_laplacian(g, 0)
-    assert red.to_lists() == [row[1:] for row in full[1:]]
+    assert red.entries.tolist() == [row[1:] for row in full[1:]]
     last = reduced_laplacian(g, 3)
-    assert last.to_lists() == [row[:3] for row in full[:3]]
+    assert last.entries.tolist() == [row[:3] for row in full[:3]]
     for drop in (4, -1):
         with pytest.raises(InvalidParamsError) as info:
             reduced_laplacian(g, drop)

@@ -481,10 +481,10 @@ def test_refused_allocation_exits_two(monkeypatch, capsys, tmp_path):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats takes most of a second to import and only one diagnostic
-    # in reduction.py uses it, so the CLI must not pull it in.  scipy.sparse
-    # takes most of the CLI's import time and only connected_components
-    # uses it, so neither the import nor a predict run may load it.
+    # scipy.stats takes most of a second to import and no module of the
+    # package uses it, so the CLI must not pull it in.  scipy.sparse takes
+    # most of the CLI's import time and only connected_components uses it,
+    # so neither the import nor a predict run may load it.
     src = str(Path(sandpiles.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     code = (

@@ -54,3 +54,23 @@ def test_every_module_uses_every_name_it_imports():
             if name not in used
         ]
     assert unused == []
+
+
+def test_no_module_imports_scipy_stats():
+    # scipy.stats takes most of a second to import; nothing in the package
+    # needs it, and the tests that do import it themselves.
+    hits = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            hits += [
+                f"{path.name}:{node.lineno}: {module}"
+                for module in modules
+                if f"{module}.".startswith("scipy.stats.")
+            ]
+    assert hits == []

@@ -343,7 +343,7 @@ def test_sandpile_group_matches_minor_oracle_on_small_graphs():
         if len(connected_components(g)) != 1:
             continue
         red = reduced_laplacian(g, g.n_vertices - 1)
-        assert sandpile_group(g).factors == invariant_factors_by_minors(red.to_lists())
+        assert sandpile_group(g).factors == invariant_factors_by_minors(red.entries.tolist())
 
 
 def test_spanning_tree_count_matches_enumeration():

@@ -36,11 +36,11 @@ def _random_entries(stream: SplitMix64, rows: int, cols: int, lo: int, hi: int):
 
 def test_construction_and_round_trip():
     m = IntegerMatrix([[1, -2], [3, 4]])
-    assert m.to_lists() == [[1, -2], [3, 4]]
+    assert m.entries.tolist() == [[1, -2], [3, 4]]
     assert (m.rows, m.cols) == (2, 2)
     n = IntegerMatrix(np.array([[10**30, 1], [0, 2]], dtype=object))
-    assert n.to_lists()[0][0] == 10**30
-    assert all(isinstance(e, int) for row in n.to_lists() for e in row)
+    assert n.entries.tolist()[0][0] == 10**30
+    assert all(isinstance(e, int) for row in n.entries.tolist() for e in row)
 
 
 def test_construction_rejects_bad_input():
@@ -56,7 +56,7 @@ def test_construction_rejects_bad_input():
     for rows in ([[2.7, True]], [[2.0]], [[False]], [["3"]]):
         with pytest.raises(ValueError):
             IntegerMatrix(rows)
-    assert IntegerMatrix([np.array([1, -2]), (3, 4)]).to_lists() == [[1, -2], [3, 4]]
+    assert IntegerMatrix([np.array([1, -2]), (3, 4)]).entries.tolist() == [[1, -2], [3, 4]]
     # A generator of rows has no shape to read.
     with pytest.raises(InvalidShapeError, match=r"entries must be 2-d, got shape \(\)"):
         IntegerMatrix(row for row in [[1, 2], [3, 4]])
@@ -67,7 +67,7 @@ def test_integer_arrays_become_python_ints_and_other_arrays_are_checked():
         source = np.array([[1, 2], [3, 4]], dtype=dtype)
         m = IntegerMatrix(source)
         source[0, 0] = 9
-        assert m.to_lists() == [[1, 2], [3, 4]]
+        assert m.entries.tolist() == [[1, 2], [3, 4]]
         assert all(type(e) is int for e in m.entries.flat)
         assert not m.entries.flags.writeable
     assert IntegerMatrix(np.array([[2**63 - 1]])).entries[0, 0] * 2 == 2**64 - 2
@@ -157,7 +157,7 @@ def test_smith_form_diagonal_is_nonnegative_divisor_chain():
         assert all(d >= 0 for d in diag)
         for a, b in zip(diag, diag[1:]):
             assert b == 0 or (a != 0 and b % a == 0)
-        assert diag == smith_diagonal_by_minors(m.to_lists())
+        assert diag == smith_diagonal_by_minors(m.entries.tolist())
         assert smith_form_by_largest_factor(m) == diag
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from sandpiles import reduction
 from sandpiles import (
@@ -16,7 +17,7 @@ from sandpiles import (
     build_delta1,
     corank_mod_p,
     corank_pipeline,
-    diag_uniformity_stat,
+    derive_seed,
     floor_ratio,
     laplacian_mod_p,
     sample_bipartite,
@@ -31,6 +32,25 @@ from sandpiles.reduction import (
 
 def _sample(n: int, alpha: float, q: float, seed: int):
     return sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=seed))
+
+
+def _diag_uniformity_stat(n, alpha, q, p, trials, seed, entry_index=0):
+    """Chi-square test of one delta1 diagonal entry against uniform on Z/pZ.
+
+    Samples ``trials`` graphs at ``derive_seed(seed, t)``, reads diagonal
+    entry ``entry_index`` of each trimmed matrix (an entry of the D1 block),
+    and returns (statistic, p-value) for goodness of fit to the uniform
+    distribution.  Large p-values mean uniformity is not rejected; at small n
+    the geometric bias is real and visible, so the tests assert only at
+    moderate n.
+    """
+    counts = np.zeros(p, dtype=np.int64)
+    for t in range(trials):
+        d1 = build_delta1(_sample(n, alpha, q, derive_seed(seed, t)), p)
+        counts[int(d1.matrix.entries[entry_index, entry_index])] += 1
+    expected = trials / p
+    stat = float(((counts - expected) ** 2 / expected).sum())
+    return stat, float(chi2.sf(stat, p - 1))
 
 
 def test_reduced_model_matrix_validation():
@@ -267,33 +287,28 @@ def test_corank_stable_under_model_growth(p, alpha, n):
 
 
 def test_diag_uniformity_not_rejected_at_moderate_size():
-    stat, pvalue = diag_uniformity_stat(60, 0.5, 0.5, 2, trials=2000, seed=314159)
+    # The exact pairs here and below are frozen too: a change to the sampler,
+    # the trimming or the statistic shows even where the p-value passes.
+    stat, pvalue = _diag_uniformity_stat(60, 0.5, 0.5, 2, trials=2000, seed=314159)
     assert pvalue > 1e-3
+    assert (stat, pvalue) == (0.242, 0.6227653265162957)
 
 
 def test_diag_uniformity_other_entry_and_prime():
-    _, pvalue = diag_uniformity_stat(60, 0.5, 0.5, 2, trials=1500, seed=314160, entry_index=1)
+    _, pvalue = _diag_uniformity_stat(60, 0.5, 0.5, 2, trials=1500, seed=314160, entry_index=1)
     assert pvalue > 1e-3
-    _, pvalue3 = diag_uniformity_stat(45, 0.5, 0.5, 3, trials=1500, seed=314161)
+    stat3, pvalue3 = _diag_uniformity_stat(45, 0.5, 0.5, 3, trials=1500, seed=314161)
     assert pvalue3 > 1e-3
+    assert (stat3, pvalue3) == (2.8360000000000003, 0.24219792868131088)
 
 
 def test_diag_uniformity_small_n_still_computes():
-    stat, pvalue = diag_uniformity_stat(9, 0.8, 0.5, 3, trials=60, seed=8)
+    stat, pvalue = _diag_uniformity_stat(9, 0.8, 0.5, 3, trials=60, seed=8)
     assert stat >= 0.0
     assert 0.0 <= pvalue <= 1.0
 
 
 def test_diag_uniformity_is_deterministic():
-    a = diag_uniformity_stat(13, 0.8, 0.5, 2, trials=40, seed=5)
-    b = diag_uniformity_stat(13, 0.8, 0.5, 2, trials=40, seed=5)
+    a = _diag_uniformity_stat(13, 0.8, 0.5, 2, trials=40, seed=5)
+    b = _diag_uniformity_stat(13, 0.8, 0.5, 2, trials=40, seed=5)
     assert a == b
-
-
-def test_diag_uniformity_validates_inputs():
-    with pytest.raises(InvalidParamsError):
-        diag_uniformity_stat(60, 0.5, 0.5, 2, trials=0, seed=1)
-    with pytest.raises(InvalidParamsError):
-        diag_uniformity_stat(60, 0.5, 0.5, 2, trials=10, seed=1, entry_index=58)
-    with pytest.raises(InvalidParamsError):
-        diag_uniformity_stat(60, 0.5, 0.5, 2, trials=10, seed=1, entry_index=-1)
