@@ -253,14 +253,6 @@ def _singular(rank: int, k: int) -> SingularBlockError:
     return SingularBlockError(f"matrix of rank {rank} < {k} is singular")
 
 
-def _pivot_product(w: np.ndarray, k: int, swaps: int, p: int) -> int:
-    """det mod p of a k x k block from its ``_echelon`` pivots (the diagonal of ``w``)."""
-    det = p - 1 if swaps % 2 else 1
-    for pivot in np.diagonal(w)[:k]:
-        det = det * int(pivot) % p
-    return det
-
-
 def _solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     """``inverse(a) @ b`` mod p, and det(a) mod p, for a square residue matrix ``a``.
 
@@ -277,7 +269,10 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     rank, swaps = _echelon(w, p, k, k)
     if rank != k:
         raise _singular(rank, k)
-    return -w[k:, k:] % p, _pivot_product(w, k, swaps, p)
+    det = p - 1 if swaps % 2 else 1
+    for pivot in np.diagonal(w)[:k].tolist():
+        det = det * pivot % p
+    return -w[k:, k:] % p, det
 
 
 def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
@@ -314,15 +309,6 @@ def invert_mod_p(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
     if m.rows != m.cols:
         raise DimensionMismatchError(f"cannot invert non-square {m!r}")
     return PrimeFieldMatrix(m.p, _solve(m.entries, np.eye(m.rows, dtype=np.int64), m.p)[0])
-
-
-def _det_mod_p(a: np.ndarray, p: int) -> int:
-    """Determinant mod p, in [0, p), of a square residue matrix ``a``."""
-    w = a.copy()
-    rank, swaps = _echelon(w, p, w.shape[1], w.shape[0])
-    if rank < w.shape[0]:
-        return 0
-    return _pivot_product(w, rank, swaps, p)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

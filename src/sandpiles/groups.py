@@ -218,11 +218,11 @@ def spanning_tree_count(g: BipartiteGraph) -> int:
     d, with the Gram blocks B_d^T B_d built once for all primes.  det S is
     taken mod every prime below 2**27 needed to cover twice the column
     Hadamard bound of the reduced Laplacian, in one elimination of the whole
-    stack, and the count comes back by CRT.  The route shares only the prime
-    walk and the CRT step with the Smith route; its matrix, primes, bound and
-    elimination are its own.  Raises :class:`DisconnectedError` when the
-    graph is disconnected (the determinant would be 0 and the sandpile group
-    order would not equal a tree count).
+    stack, and the count comes back by CRT.  The Smith route shares that
+    prime range, elimination and CRT, not this construction of S or bound.
+    Raises :class:`DisconnectedError` when the graph is disconnected (the
+    determinant would be 0 and the sandpile group order would not equal a
+    tree count).
     """
     if len(connected_components(g)) != 1:
         raise DisconnectedError("spanning trees are defined for connected graphs only")
@@ -235,7 +235,7 @@ def spanning_tree_count(g: BipartiteGraph) -> int:
     # diagonal and one -1 per kept neighbour.
     kept_degrees = kept.sum(axis=0)
     norms = (degrees**2 + kept.sum(axis=1)).tolist() + (kept_degrees**2 + kept_degrees).tolist()
-    primes = _covering_primes(2**27, 2 * (isqrt(prod(norms)) + 1), product)
+    primes = _covering_primes(2 * (isqrt(prod(norms)) + 1), product)
     moduli = np.array(primes, dtype=np.int64)
     dets = _det_mod_primes(_schur_block_mod_primes(kept, degrees, moduli), moduli)
     scale = np.array([product % q for q in primes], dtype=np.int64)

@@ -46,8 +46,8 @@ above 1, which share factors with many degrees.  An empty lead leaves S = A.
    det A = prod(d_i) det S.  Every degree is below N < P, so each is a
    unit mod P.
 2. Recover m = D / c <= H / c by the CRT, from det A mod P and from
-   prod(d_i) det S mod as many 31-bit primes q as it takes to cover
-   2 H / c; P alone covers it on two thirds of the graphs of 90-105
+   prod(d_i) det S mod as many 27-bit primes q, stacked, as it takes to
+   cover 2 H / c; P alone covers it on two thirds of the graphs of 90-105
    vertices.  P divides neither D nor c.  Then D = m c.
 3. The loop modulo any multiple of s_(N-1) returns s_i exactly for i < N,
    since each such s_i divides it.  m is one such multiple, because
@@ -59,22 +59,22 @@ above 1, which share factors with many degrees.  An empty lead leaves S = A.
 Random-graph sandpile groups are close to cyclic, so m is often 1.  Where
 the p-rank is large (alpha = 1/4, p = 2) m reaches 30-40 bits at N ~ 100,
 but s_(N-1) stays small.  So the loop runs mod gcd(m, c) first, a multiple
-of s_(N-1) whenever c = s_N.  Its leading factors t_i then bound the rest:
+of s_(N-1) whenever c = s_N; modulo 1 every factor is 1, with no run.  Its
+leading factors t_i then bound the rest:
 s_(N-1) always divides gcd(m, c K) with K = m / (t_1 ... t_(N-1)), so the
 result stands when that divides the modulus, and otherwise one more run
 modulo gcd(m, c K) is exact.  Moduli below 2**31 run on int64 residues,
 larger ones on Python ints.
 
-Two CRT steps share :func:`_crt_signed`, which rebuilds a signed integer
-from its residues: step 2 above, and the tree count in ``groups``, which
-takes the determinant of its own matrix mod primes below 2**27.  That count
-needs 14-19 primes at 90-105 vertices and 84 at 350, so
-:func:`_det_mod_primes` eliminates all of them in one loop over an int64
-stack of shape (primes x n x n), one prime per layer.  Step 2 needs at
-most two primes besides P there, and keeps ``_det_mod_p``: on the Schur
-blocks of the graphs of 90-105 vertices a one-layer stack took 0.54 ms
-per graph against 0.48 ms, and a two-layer stack 0.72 ms against 0.99 ms,
-but 163 of 240 such graphs need no prime besides P, 71 one and 6 two.
+Step 2 and the tree count in ``groups`` share one CRT prime range and one
+kernel: :func:`_covering_primes` walks the primes below 2**27, skipping any
+that divides a diagonal entry eliminated in closed form, so each prime's
+Schur block has one shape; :func:`_det_mod_primes` eliminates their int64
+stack, one prime per layer; :func:`_crt_signed` rebuilds the integer.  The
+count takes 14-19 primes at 90-105 vertices and 84 at 350, step 2 none
+besides P on 163 of 240 such graphs, one on 66 and two on 11.  There step 2
+took 0.19 ms per graph against 0.18 ms with one elimination per prime below
+2**31, and the Smith route 5.8-6.0 ms either way (best of 7, three rounds).
 :func:`determinant` is the Bareiss reference that ``verify`` and the
 tests compare with.
 """
@@ -88,7 +88,7 @@ from math import gcd, isqrt, prod
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidShapeError, SingularBlockError
-from .gfp import _det_mod_p, _matmul_mod, _solve, is_prime
+from .gfp import _matmul_mod, _solve, is_prime
 from .rng import SplitMix64
 
 # Right-hand sides of the lifted solve: any integer block gives exact
@@ -453,13 +453,14 @@ def _solution_denominator(
     return c, prime, det_residue
 
 
-def _covering_primes(below: int, bound: int, avoid: int) -> list[int]:
-    """Primes below ``below``, largest first, that do not divide ``avoid``.
+def _covering_primes(bound: int, avoid: int) -> list[int]:
+    """Primes below 2**27, largest first, that do not divide ``avoid``.
 
-    As few as make their product exceed ``bound``.
+    As few as make their product exceed ``bound``.  Below 2**27,
+    :func:`_det_mod_primes` reduces lazily up to 512 rows.
     """
     primes, product = [], 1
-    candidates = _primes_below(below)
+    candidates = _primes_below(2**27)
     while product <= bound:
         q = next(candidates)
         if avoid % q:
@@ -487,15 +488,21 @@ def _determinant_quotient(
     """det(a) / c, given that c divides it and |det(a) / c| <= ``bound``.
 
     CRT from ``det_residue`` = det(a) mod ``prime``, a prime that does not
-    divide c, and from det(a) mod as few 31-bit primes that do not divide c
-    as take the product of all the primes past 2 * bound: none when
-    ``prime`` > 2 * bound.
+    divide c, and from det(a) mod as few of :func:`_covering_primes` as take
+    the product of all the primes past 2 * bound (none when ``prime`` >
+    2 * bound).  These divide neither c, ``prime`` nor a nonzero diagonal
+    entry, so each has the same :func:`_lead_schur` block shape and one
+    :func:`_det_mod_primes` stack takes them all.
     """
-    primes = [prime, *_covering_primes(2**31, 2 * bound // prime, c)]
+    diagonal = [d for d in np.diagonal(a).tolist() if d]
+    extra = _covering_primes(2 * bound // prime, c * prime * prod(diagonal))
     residues = [det_residue]
-    for q in primes[1:]:
-        order, k, _, s = _lead_schur(a, q)
-        residues.append(_lead_det(a, order[:k], _det_mod_p(s, q), q))
+    if extra:
+        blocks = [_lead_schur(a, q) for q in extra]
+        order, k, _, _ = blocks[0]
+        dets = _det_mod_primes(np.stack([s for *_, s in blocks]), np.array(extra))
+        residues += [_lead_det(a, order[:k], d, q) for d, q in zip(dets.tolist(), extra)]
+    primes = [prime, *extra]
     return _crt_signed([r * pow(c, -1, q) % q for r, q in zip(residues, primes)], primes)
 
 
@@ -574,6 +581,8 @@ def smith_form_by_largest_factor(m: IntegerMatrix) -> tuple[int, ...]:
     det = quotient * c
 
     def chain_mod(modulus: int) -> tuple[int, ...]:
+        if modulus == 1:
+            return (1,) * n
         _, k, _, s = _lead_schur(a, modulus)
         return (1,) * k + _smith_diagonal(_symmetric(s, modulus), modulus)
 

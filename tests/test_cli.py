@@ -247,7 +247,10 @@ K23 = BipartiteGraph(2, 3, np.ones((2, 3), dtype=np.int64))
 
 # sha256 of the whole ``group`` stdout on graphs written by ``save_graph``.
 # The union is disconnected, so its ``spanning_trees`` is null; the alpha =
-# 1/4 graph has 100 vertices.
+# 1/4 graph has 100 vertices.  The last five are connected, with 50-90
+# vertices.  Their Smith routes need 0, 1, 2 and 2 CRT primes below 2**27
+# besides the lifting prime (the fourth would need one prime below 2**31),
+# and the last has chain modulus gcd(m, c) = 1.
 PINNED_GROUP_OUTPUT = [
     pytest.param(
         lambda: K23, "e4d3bb304f7b039fa1aef6df55a1dc7e3084479a4fd919cc559fcd3634867335", id="k23"
@@ -271,6 +274,31 @@ PINNED_GROUP_OUTPUT = [
         lambda: _sampled(40, 0.75, 3),
         "448ec13697a024d1f7acd30a3b66f6c4ad338ca90ca1046fb32e830ee8703cad",
         id="alpha-three-quarters-40",
+    ),
+    pytest.param(
+        lambda: _sampled(40, 0.25, 1),
+        "eef1660b6add858dffb6f8ce33ced2dac7e1f3102497f4d7f124757705b6a10e",
+        id="no-extra-prime",
+    ),
+    pytest.param(
+        lambda: _sampled(40, 0.25, 2),
+        "6c64dce04a3c840ca693fbf2217dc879f2a1e55ea2aea05010e132d3a5b69091",
+        id="one-extra-prime",
+    ),
+    pytest.param(
+        lambda: _sampled(72, 0.25, 8),
+        "8a5e99bd38ddb8ee5bbd2a63f068bf1644cfb861597c52f3425aa5725f259956",
+        id="two-extra-primes",
+    ),
+    pytest.param(
+        lambda: _sampled(72, 0.25, 1),
+        "bb62c98ced9d35142287173aa0767f2be4a4ed75c47cd6829f1ec569fd17fcc2",
+        id="two-extra-primes-below-2-27",
+    ),
+    pytest.param(
+        lambda: _sampled(40, 0.5, 2),
+        "7a19e12234f8e715a4f66650b997fa8322669cccdea73c1c4201af03d0704e45",
+        id="chain-modulus-one",
     ),
 ]
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from sandpiles import (
     schur_complement,
     submatrix,
 )
-from sandpiles.gfp import _det_mod_p, _echelon, _kernel_basis, _matmul_mod, _solve
+from sandpiles.gfp import _echelon, _kernel_basis, _matmul_mod, _solve
 from sandpiles.reduction import build_M
 
 # At n = 32 the lazy-reduction bound (p-1) * (1 + n (p-1)) < 2**63 falls
@@ -261,17 +263,34 @@ def test_rank_on_both_sides_of_the_lazy_bound_matches_row_reduction():
             assert rank_mod_p(m) == rank_by_row_reduction(m.entries.tolist(), p)
 
 
+def _assert_solve_determinant(a: np.ndarray, p: int) -> bool:
+    """``_solve(a, I, p)``'s determinant is det(a) mod p, or it refuses a singular ``a``.
+
+    Returns whether ``a`` is singular mod p.
+    """
+    expect = det_by_cofactors(a.tolist()) % p
+    eye = np.eye(a.shape[0], dtype=np.int64)
+    if expect == 0:
+        with pytest.raises(SingularBlockError):
+            _solve(a, eye, p)
+    else:
+        assert _solve(a, eye, p)[1] == expect
+    return expect == 0
+
+
 def test_determinant_on_both_sides_of_the_lazy_bound_matches_cofactors():
+    # _solve eliminates the n columns of [[a, I], [I, 0]] with pivots from
+    # its top n rows, so its lazy bound is that of an n x n elimination.
     stream = SplitMix64(496)
     swapped = 0
     for p in (LAZY_PRIME, EAGER_PRIME):
         for _ in range(10):
             a = _arrowhead(stream, LAZY_N, p)
             swapped += not np.diagonal(a)[:-1].all()
-            assert _det_mod_p(a, p) == det_by_cofactors(a.tolist()) % p
+            _assert_solve_determinant(a, p)
         worst = np.eye(LAZY_N, dtype=np.int64)
         worst[-1, :-1] = worst[:-1, -1] = p - 1
-        assert _det_mod_p(worst, p) == det_by_cofactors(worst.tolist()) % p
+        _assert_solve_determinant(worst, p)
     assert swapped >= 5
 
 
@@ -438,12 +457,14 @@ def test_schur_complement_preserves_corank_sweep():
 def test_determinant_mod_p_matches_cofactor_expansion():
     # Entries from {0, 1} make singular matrices and row swaps common.
     stream = SplitMix64(5150)
+    singular = 0
     for trial in range(150):
         p = (2, 3, 5, 7, 2**31 - 1)[trial % 5]
         size = 1 + stream.next_below(6)
         bound = 2 if trial % 3 == 0 else p
         rows = [[stream.next_below(bound) for _ in range(size)] for _ in range(size)]
-        assert _det_mod_p(np.array(rows, dtype=np.int64), p) == det_by_cofactors(rows) % p
+        singular += _assert_solve_determinant(np.array(rows, dtype=np.int64), p)
+    assert 30 <= singular <= 120
 
 
 def _check_schur_by_determinant_quotients(m: PrimeFieldMatrix, s: list[int]) -> bool:
@@ -513,7 +534,7 @@ def test_schur_complement_on_build_M_matches_the_eliminating_solve():
             a_ss = a[np.ix_(picks, picks)]
             assert np.count_nonzero(a_ss - np.diag(np.diagonal(a_ss))) == 0
             x, det = _solve(a_ss, a[np.ix_(picks, rest)], p)
-            assert det == _det_mod_p(a_ss, p)
+            assert det == math.prod(np.diagonal(a_ss).tolist()) % p
             expect = (a[np.ix_(rest, rest)] - _python_matmul(a[np.ix_(rest, picks)], x)) % p
             out = schur_complement(m.matrix, picks)
             assert out.entries.tolist() == expect.tolist()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 import tracemalloc
 
@@ -186,15 +187,24 @@ def test_sandpile_group_factor_chains_are_pinned_at_the_benchmark_windows():
 
 
 def test_sandpile_group_matches_the_plain_loop_on_seeded_graphs(monkeypatch):
-    moduli = []
-    loop = intmat._smith_diagonal
+    # The first modulus of each Smith route is gcd(m, c), with m = D / c from
+    # the CRT; every loop run at another modulus is a rerun.  Modulo 1 the
+    # chain is all ones and the loop is not run, but a rerun may follow.
+    moduli, firsts = [], []
+    loop, quotient = intmat._smith_diagonal, intmat._determinant_quotient
 
     def spy(a, modulus):
         if modulus:
-            moduli.append((modulus, a.dtype))
+            moduli.append((modulus, a.dtype, firsts[-1]))
         return loop(a, modulus)
 
+    def quotient_spy(a, c, *rest):
+        m = quotient(a, c, *rest)
+        firsts.append(math.gcd(m, c))
+        return m
+
     monkeypatch.setattr(intmat, "_smith_diagonal", spy)
+    monkeypatch.setattr(intmat, "_determinant_quotient", quotient_spy)
     disconnected = reruns = 0
     for i in range(60):
         alpha = (0.25, 0.5, 1.0)[i % 3]
@@ -214,10 +224,10 @@ def test_sandpile_group_matches_the_plain_loop_on_seeded_graphs(monkeypatch):
             m.setattr(intmat, "_RHS_COLUMNS", 1)
             before = len(moduli)
             assert sandpile_group(g).factors == plain.factors, (i, n, alpha, q)
-            reruns += len(moduli) - before - sum(len(comp) > 1 for comp in comps)
+            reruns += sum(modulus != first for modulus, _, first in moduli[before:])
     assert disconnected >= 5 and reruns >= 5
-    assert any(m == 1 for m, _ in moduli)
-    assert any(1 < m < 2**31 and dtype == np.int64 for m, dtype in moduli)
+    assert 1 in firsts and all(modulus != 1 for modulus, _, _ in moduli)
+    assert any(1 < modulus < 2**31 and dtype == np.int64 for modulus, dtype, _ in moduli)
 
 
 def test_group_independent_of_dropped_vertex():

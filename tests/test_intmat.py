@@ -25,7 +25,6 @@ from sandpiles import (
     smith_normal_form,
 )
 from sandpiles import intmat
-from sandpiles.gfp import _det_mod_p
 from sandpiles.intmat import _LIFT_PRIMES, _solution_denominator
 
 
@@ -274,7 +273,8 @@ def test_lead_schur_gives_the_smith_form_and_determinant_mod_m():
             assert chain == _chain_by_minors(rows, modulus), (rows, modulus)
         for q in primes:
             order, k, _, s = intmat._lead_schur(a, q)
-            det = intmat._lead_det(a, order[:k], _det_mod_p(s, q), q)
+            det_s = int(intmat._det_mod_primes(s[None], np.array([q]))[0])
+            det = intmat._lead_det(a, order[:k], det_s, q)
             assert det == det_by_fractions(rows) % q
 
 
@@ -404,11 +404,36 @@ def test_smith_loop_with_no_unit_a_late_unit_and_zero_rows():
 
 def test_determinant_quotient_starts_from_the_lifting_residue(monkeypatch):
     # det(a) / c by CRT: the lifting prime alone when it exceeds twice the
-    # bound, and 31-bit primes besides when it does not.
+    # bound, and as few primes below 2**27 besides as cover it, in one
+    # stack, when it does not.
     prime = _LIFT_PRIMES[0]
-    real = intmat._det_mod_p
-    more: list[int] = []
-    monkeypatch.setattr(intmat, "_det_mod_p", lambda a, q: more.append(q) or real(a, q))
+    real = intmat._det_mod_primes
+    stacks = []
+
+    def spy(stack, primes):
+        stacks.append((stack.shape, primes.tolist()))
+        return real(stack, primes)
+
+    def extra_primes(rows, c, bound):
+        stacks.clear()
+        det = determinant(IntegerMatrix(rows))
+        got = intmat._determinant_quotient(
+            np.array(rows, dtype=np.int64), c, bound, prime, det % prime
+        )
+        assert got == det // c
+        assert len(stacks) <= 1
+        shape, more = stacks[0] if stacks else ((0,), [])
+        assert shape[0] == len(more) and prime not in more and all(q < 2**27 for q in more)
+        if more:
+            assert math.prod(more[:-1]) <= 2 * bound // prime < math.prod(more)
+        else:
+            assert 2 * bound < prime
+        # Skipped: primes that divide c or a nonzero diagonal entry.
+        avoid = c * math.prod(filter(None, np.diagonal(rows).tolist()))
+        assert all(avoid % q for q in more)
+        return shape
+
+    monkeypatch.setattr(intmat, "_det_mod_primes", spy)
     stream = SplitMix64(2718)
     seen = {True: 0, False: 0}
     for trial in range(40):
@@ -418,24 +443,23 @@ def test_determinant_quotient_starts_from_the_lifting_residue(monkeypatch):
         if det % prime == 0:
             continue
         for c in {1, math.gcd(det, 720720)}:
-            bound = _hadamard(rows) // c
-            more.clear()
-            got = intmat._determinant_quotient(
-                np.array(rows, dtype=np.int64), c, bound, prime, det % prime
-            )
-            assert got == det // c
-            assert prime not in more and all(q > 2**30 for q in more)
-            assert (not more) == (2 * bound < prime)
-            seen[not more] += 1
+            seen[extra_primes(rows, c, _hadamard(rows) // c)[0] == 0] += 1
     assert min(seen.values()) >= 10
     # |det| just under P: P alone would give the residue 3, the wrong sign
     # and size, so one more prime is needed.
     for rows in ([[3 - prime]], [[prime - 3, 0], [0, -1]]):
-        det = determinant(IntegerMatrix(rows))
-        got = intmat._determinant_quotient(
-            np.array(rows, dtype=np.int64), 1, abs(det), prime, det % prime
-        )
-        assert got == det
+        assert extra_primes(rows, 1, abs(determinant(IntegerMatrix(rows))))[0] == 1
+    # The lead holds the largest primes below 2**27, which the CRT would
+    # take first.  Mod such a prime the entry is no unit, so its Schur block
+    # would keep one row more than the other primes' blocks and the stack
+    # could not be formed.
+    layers = set()
+    for rows in ([[134217689, 1], [1, 2]], [[134217689, 0, 1], [0, -134217649, 1], [1, 1, 3]]):
+        for bound in (abs(determinant(IntegerMatrix(rows))), 2**90):
+            shape = extra_primes(rows, 1, bound)
+            assert shape[1:] == (1, 1)
+            layers.add(shape[0])
+    assert layers == {1, 2, 3}
 
 
 def test_smith_form_invariant_under_unimodular_moves():
@@ -494,10 +518,9 @@ _EAGER_PRIME = 2**31 - 1
 
 def _assert_layers_match(layers, primes):
     stack = np.array([np.array(rows, dtype=np.int64) % q for rows, q in zip(layers, primes)])
-    residues = stack.copy()
     got = intmat._det_mod_primes(stack, np.array(primes))
     for i, (rows, q) in enumerate(zip(layers, primes)):
-        assert int(got[i]) == _det_mod_p(residues[i], q) == det_by_cofactors(rows) % q, (rows, q)
+        assert int(got[i]) == det_by_cofactors(rows) % q, (rows, q)
 
 
 def test_det_mod_primes_matches_each_layer_alone():
@@ -537,7 +560,7 @@ def test_det_mod_primes_on_empty_and_one_by_one_stacks():
 def test_crt_signed_and_covering_primes():
     # The largest prime below 2**27 divides ``avoid`` and is skipped.
     for bits in range(1, 400, 11):
-        primes = intmat._covering_primes(2**27, 2**bits, 6 * 134217689)
+        primes = intmat._covering_primes(2**bits, 6 * 134217689)
         assert 134217689 not in primes
         assert math.prod(primes[:-1]) <= 2**bits < math.prod(primes)
     for value in (0, 1, -1, 10**40, -(10**40), 7**47):
