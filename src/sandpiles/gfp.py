@@ -33,8 +33,8 @@ without a ``%``, so after t steps an entry lies in (-t (p-1)**2, p).  While
 ``(p-1) * (1 + steps * (p-1)) < 2**63``, with steps = min(columns
 eliminated, pivot rows), one ``%`` at the end is enough; above that bound
 every update is reduced.  Matrix products pick the cheapest exact type from
-``inner * (p-1)**2``: float64 through BLAS below 2**53, int64 below 2**63,
-Python ints beyond.
+``inner * (p-1)**2``: float32 through BLAS below 2**24, float64 below
+2**53, int64 below 2**63, Python ints beyond.
 """
 
 from __future__ import annotations
@@ -99,9 +99,9 @@ class PrimeFieldMatrix:
     """An immutable matrix over Z/pZ with entries stored in [0, p).
 
     The constructor validates the modulus (prime, < 2**31) and reduces the
-    given entries unless they already lie in [0, p); the backing array is
-    marked read-only so the many pure functions in this module cannot mutate
-    a shared value by accident.
+    given integer entries unless they already lie in [0, p), reading bools
+    as 0 and 1; the backing array is marked read-only so the many pure
+    functions in this module cannot mutate a shared value by accident.
     """
 
     __slots__ = ("p", "entries")
@@ -109,7 +109,7 @@ class PrimeFieldMatrix:
     def __init__(self, p: int, entries) -> None:
         _check_prime(p)
         raw = np.asarray(entries)
-        if raw.dtype.kind not in ("i", "u"):
+        if raw.dtype.kind not in ("b", "i", "u"):
             raise InvalidShapeError(
                 f"entries must be integers, got dtype {raw.dtype}"
             )
@@ -165,8 +165,11 @@ def submatrix(m: PrimeFieldMatrix, rows, cols) -> PrimeFieldMatrix:
 
 
 def _pack_gf2_rows(bits: np.ndarray) -> list[int]:
-    """Pack a 0/1 int matrix into one Python integer per row (bit j = col j)."""
-    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    """Pack a 0/1 bool or int matrix into one Python integer per row (bit j = col j)."""
+    # packbits is several times slower on a strided array (a transpose) or
+    # on ints wider than a byte.
+    rows = np.ascontiguousarray(bits if bits.dtype == bool else bits.astype(np.uint8))
+    packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
@@ -278,6 +281,10 @@ def _solve(a: np.ndarray, b: np.ndarray, p: int) -> tuple[np.ndarray, int]:
 def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     """Residue rows spanning ``{x : a @ x = 0 mod p}``, as a k x cols array.
 
+    The rows are int64, except over GF(2), where they are the uint8 bits
+    that unpacking gives: at cols = 4000 an int64 copy would be 8 times
+    the size.
+
     Row operations on an augmented matrix keep its identity part equal to
     the combination of rows of ``a^T`` that each row holds, so the rows
     whose ``a^T`` part comes out zero carry kernel vectors; they are
@@ -297,8 +304,7 @@ def _kernel_basis(a: np.ndarray, p: int) -> np.ndarray:
     kernel = [row for row in _xor_pivots(augmented, cols + rows)[:cols] if row]
     nbytes = (cols + 7) // 8
     packed = np.frombuffer(b"".join(row.to_bytes(nbytes, "little") for row in kernel), np.uint8)
-    bits = np.unpackbits(packed.reshape(len(kernel), nbytes), axis=1, count=cols, bitorder="little")
-    return bits.astype(np.int64)
+    return np.unpackbits(packed.reshape(len(kernel), nbytes), axis=1, count=cols, bitorder="little")
 
 
 def invert_mod_p(m: PrimeFieldMatrix) -> PrimeFieldMatrix:
@@ -315,14 +321,19 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Exact ``(a @ b) % p`` for residue matrices, as int64.
 
     Each entry of the product is a sum of ``inner`` products below
-    (p-1)**2.  Below 2**53 every partial sum is an integer that float64
-    holds exactly, so the product runs through BLAS in float64; below 2**63
-    it runs in int64 (numpy's integer matmul, no BLAS); beyond that in
-    Python ints (numpy object dtype), which never overflow.
+    (p-1)**2.  Below 2**24 every partial sum is an integer that float32
+    holds exactly, and below 2**53 one that float64 holds, so the product
+    runs through BLAS in the narrower of the two: at p = 2 and
+    inner = 4000, float32 halves both operand copies and the time.  Below
+    2**63 it runs in int64 (numpy's integer matmul, no BLAS); beyond that
+    in Python ints (numpy object dtype), which never overflow.
     """
     bound = a.shape[1] * (p - 1) ** 2
     if bound < 2**53:
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+        exact = np.float32 if bound < 2**24 else np.float64
+        prod = (a.astype(exact) @ b.astype(exact)).astype(np.int64)
+        prod %= p
+        return prod
     if bound < 2**63:
         return (a @ b) % p
     prod = a.astype(object) @ b.astype(object)

@@ -173,7 +173,8 @@ def p_rank(g: BipartiteGraph, p: int) -> int:
     d_s_inv = np.array([pow(int(d), -1, p) for d in residues], dtype=np.int64)[which]
     x = _matmul_mod(b_s, kernel.T, p)
     d_2 = b.sum(axis=0) % p
-    c = _matmul_mod(kernel * d_2 % p, kernel.T, p)
+    # In the kernel's dtype: at p = 2 that is uint8, and no int64 copy is made.
+    c = _matmul_mod(kernel * d_2.astype(kernel.dtype) % p, kernel.T, p)
     c -= _matmul_mod((x * d_s_inv[:, None] % p).T, x, p)
     corank = corank_mod_p(PrimeFieldMatrix(p, c % p))
     return b_z.shape[0] - g.n_right + kernel.shape[0] + corank - n_comps

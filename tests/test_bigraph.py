@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 
 from oracles import components_by_bfs
+from sandpiles import bigraph
 from sandpiles import (
     BipartiteGraph,
     GraphModelParams,
@@ -87,7 +90,7 @@ def test_graph_refuses_non_integer_and_out_of_range_entries():
         with pytest.raises(InvalidShapeError, match="must be 0 or 1"):
             BipartiteGraph(1, 2, bad)
     g = BipartiteGraph(1, 2, np.array([[True, False]]))
-    assert g.biadjacency.dtype == np.int64 and g.biadjacency.tolist() == [[1, 0]]
+    assert g.biadjacency.dtype == np.bool_ and g.biadjacency.tolist() == [[True, False]]
     assert BipartiteGraph(1, 2, np.array([[0, 1]], dtype=np.uint8)).n_edges == 1
 
 
@@ -114,8 +117,8 @@ def test_sampling_is_deterministic_and_seed_sensitive():
 
 
 def test_sampled_graphs_are_pinned():
-    # sha256 of biadjacency.tobytes(); a change to the edge draw, its
-    # threshold or the stream layout changes these.
+    # sha256 of the biadjacency as int64 bytes; a change to the edge draw,
+    # its threshold or the stream layout changes these.
     cases = {
         (40, 0.5, 0.5, 1): "a1e8bbf80472fbfeb4ce48c78e7a8312a832c6752743f63941bb6480cd59c566",
         (37, 0.75, 0.3, 2): "24b7dc7d8ecdc2106dfd5e8b75e26c0bef22ad178b21de2b6212ce050ef7bb35",
@@ -124,8 +127,9 @@ def test_sampled_graphs_are_pinned():
     }
     for (n, alpha, q, seed), want in cases.items():
         g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=seed))
-        assert g.biadjacency.dtype == np.int64
-        assert hashlib.sha256(g.biadjacency.tobytes()).hexdigest() == want, (n, alpha, q, seed)
+        assert g.biadjacency.dtype == np.bool_
+        got = hashlib.sha256(g.biadjacency.astype(np.int64).tobytes()).hexdigest()
+        assert got == want, (n, alpha, q, seed)
     # build_M draws its diagonal from the same stream after the edges.
     m = build_M(30, 0.5, 0.3, 3, 11).matrix.entries
     assert m.shape == (48, 48)
@@ -140,6 +144,36 @@ def test_sampling_from_stream_matches_seeded_sampling():
     via_stream = sample_bipartite_from_stream(params, SplitMix64(77))
     assert direct == via_stream
     assert direct.n_right == 6
+
+
+def test_block_draw_equals_the_one_shot_draw():
+    # Sizes on each side of one block and past several; the stream must
+    # end where one n*m draw leaves it, so build_M's diagonal draws that
+    # follow keep their position.
+    block = bigraph._DRAW_BLOCK
+    for size in (1, block - 1, block, block + 1, 3 * block + 7):
+        m = max(d for d in range(1, isqrt(size) + 1) if size % d == 0)
+        params = GraphModelParams(n=size // m, alpha=Fraction(m, size // m), q=0.3, seed=size)
+        assert (params.n, params.n_right) == (size // m, m)
+        stream, one_shot = SplitMix64(size), SplitMix64(size)
+        g = sample_bipartite_from_stream(params, stream)
+        edges = one_shot.next_bernoulli_block(size, 0.3).reshape(params.n, m)
+        assert g == BipartiteGraph(params.n, m, edges), size
+        assert stream.next_u64() == one_shot.next_u64(), size
+
+
+def test_sampling_peak_memory_is_two_bytes_per_entry():
+    # The bool graph and its copy in the constructor; one n*m uint64 draw
+    # would peak at 16 bytes per entry.
+    params = GraphModelParams(n=2000, alpha=1.0, q=0.5, seed=1)
+    sample_bipartite(params)
+    tracemalloc.start()
+    try:
+        sample_bipartite(params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * params.n * params.n_right, peak
 
 
 def test_sampling_edge_frequency_near_q():

@@ -111,6 +111,9 @@ def test_matrix_construction_reduces_entries():
     huge = np.array([[2**64 - 1, 2**63]], dtype=np.uint64)
     assert PrimeFieldMatrix(3, huge).entries.tolist() == [[0, 2]]
     assert PrimeFieldMatrix(257, np.array([[255, 3]], dtype=np.uint8)).entries.tolist() == [[255, 3]]
+    # Bools, such as a graph's biadjacency, are read as 0 and 1.
+    flags = PrimeFieldMatrix(3, np.array([[True, False], [False, True]]))
+    assert flags.entries.dtype == np.int64 and flags.entries.tolist() == [[1, 0], [0, 1]]
 
 
 def test_matrix_construction_copies_already_reduced_entries():
@@ -359,7 +362,8 @@ def test_kernel_basis_spans_the_kernel_with_independent_rows():
         for a in cases:
             kernel = _kernel_basis(a, p)
             k = a.shape[1] - rank_mod_p(PrimeFieldMatrix(p, a))
-            assert kernel.shape == (k, a.shape[1]) and kernel.dtype == np.int64, (p, a.shape)
+            assert kernel.shape == (k, a.shape[1]), (p, a.shape)
+            assert kernel.dtype == (np.uint8 if p == 2 else np.int64), (p, a.shape)
             assert kernel.min(initial=0) >= 0 and kernel.max(initial=0) < p
             assert not (_python_matmul(a, kernel.T) % p).any(), (p, a.shape)
             assert rank_mod_p(PrimeFieldMatrix(p, kernel)) == k, (p, a.shape)
@@ -412,11 +416,12 @@ def test_matmul_large_prime_uses_exact_arithmetic():
 
 
 def test_matmul_is_exact_on_both_sides_of_the_float64_and_int64_bounds():
-    # inner * (p-1)**2 crosses 2**53 at p = 2**25 - 39 and 2**63 at
-    # p = 2**30 - 35 between inner = 8 and inner = 9.  Entries near p - 1
-    # make the sums reach past each bound.
+    # inner * (p-1)**2 crosses 2**24 (the float32 bound) at p = 1447,
+    # 2**53 at p = 2**25 - 39 and 2**63 at p = 2**30 - 35 between
+    # inner = 8 and inner = 9.  Entries near p - 1 make the sums reach past
+    # each bound.
     stream = SplitMix64(2718)
-    for p, bound in ((2**25 - 39, 2**53), (2**30 - 35, 2**63)):
+    for p, bound in ((1447, 2**24), (2**25 - 39, 2**53), (2**30 - 35, 2**63)):
         assert is_prime(p)
         for inner in (8, 9):
             assert (inner * (p - 1) ** 2 < bound) == (inner == 8)

@@ -247,6 +247,28 @@ def test_group_independent_of_dropped_vertex():
         assert base == sandpile_group(g)
 
 
+def test_every_input_dtype_gives_the_same_graph_and_invariants():
+    # The graph stores bool whatever it is given.  A uint8 store would sum
+    # to uint64, which promotes to float64 against int64 and breaks the
+    # exact tree count.
+    seed = 0
+    while True:
+        g = sample_bipartite(GraphModelParams(n=16, alpha=0.75, q=0.5, seed=seed))
+        if len(connected_components(g)) == 1:
+            break
+        seed += 1
+    bits = g.biadjacency
+    inputs = [bits.astype(int).tolist(), bits] + [bits.astype(t) for t in (np.uint8, np.int64, np.uint64)]
+    want = (g.n_edges, p_rank(g, 2), p_rank(g, 3), spanning_tree_count(g))
+    assert all(type(v) is int for v in want)
+    for entries in inputs:
+        h = BipartiteGraph(g.n_left, g.n_right, entries)
+        assert h.biadjacency.dtype == np.bool_
+        assert h == g and hash(h) == hash(g)
+        assert (h.n_edges, p_rank(h, 2), p_rank(h, 3), spanning_tree_count(h)) == want
+        assert sandpile_group(h) == sandpile_group(g)
+
+
 def test_p_rank_equals_factor_multiplicity_sweep():
     for seed in range(40):
         params = GraphModelParams(n=5, alpha=1.0, q=0.5, seed=seed)
