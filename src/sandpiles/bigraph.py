@@ -90,10 +90,12 @@ class BipartiteGraph:
     edge, and its sums are int64, where a uint8 sum would be uint64 and
     promote to float64 against an int64.  Integer input is checked to be 0
     or 1 first.  Instances are immutable; all graph operations are pure
-    functions of this class.
+    functions of this class.  The one derived value kept on an instance is
+    its component labelling (:func:`component_labels`), so the callers
+    that need components on one graph share one search.
     """
 
-    __slots__ = ("n_left", "n_right", "biadjacency")
+    __slots__ = ("n_left", "n_right", "biadjacency", "_components")
 
     def __init__(self, n_left: int, n_right: int, biadjacency) -> None:
         if n_left < 1 or n_right < 1:
@@ -117,6 +119,7 @@ class BipartiteGraph:
         object.__setattr__(self, "n_left", n_left)
         object.__setattr__(self, "n_right", n_right)
         object.__setattr__(self, "biadjacency", arr)
+        object.__setattr__(self, "_components", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard rail
         raise AttributeError("BipartiteGraph is immutable")
@@ -222,29 +225,76 @@ def reduced_laplacian(g: BipartiteGraph, drop: int) -> IntegerMatrix:
     return IntegerMatrix(_laplacian_layout(g, -1, _degrees(g))[np.ix_(keep, keep)])
 
 
-def connected_components(g: BipartiteGraph) -> list[set[int]]:
-    """Vertex sets of the connected components, ordered by smallest vertex."""
+def component_labels(g: BipartiteGraph) -> tuple[int, np.ndarray]:
+    """The number of connected components, and a component label per vertex.
+
+    ``labels`` is a read-only array over all N vertices with values in
+    ``range(count)``; two vertices share a label exactly when they lie in
+    one component.  Which label a component gets is unspecified.  The
+    search runs once per graph: the result is kept on ``g``, which cannot
+    change.
+    """
+    if g._components is None:
+        object.__setattr__(g, "_components", _search_components(g))
+    return g._components
+
+
+def _search_components(g: BipartiteGraph) -> tuple[int, np.ndarray]:
     # Slow to import, and ``predict`` and m-corank trials never get here.
     from scipy.sparse import csgraph, csr_matrix
 
-    n_left, n_right, n = g.n_left, g.n_right, g.n_vertices
-    # The CSR of the left-to-right edges is built straight from the bool
-    # biadjacency: an edge's column is its row-major flat position less its
-    # row's start, and the right vertices' rows are empty, which an
-    # undirected search does not mind.  Index arrays are int32 whenever the
-    # entry count allows, as scipy would otherwise downcast them in a copy;
-    # a subtraction in int32 is also several times faster than an int64
-    # ``%``.  The float64 weights are the type csgraph converts to anyway.
+    # Each left vertex is contracted onto its first right neighbour, which
+    # leaves a graph on the m right vertices: right vertex j is joined to
+    # every neighbour of each left vertex whose first neighbour is j.  That
+    # is exact.  A left vertex joins its neighbours in the bipartite graph,
+    # and its first neighbour joins them in the contracted one, so two
+    # right vertices are connected in one graph exactly when they are in
+    # the other, and a left vertex lies in its first neighbour's component.
+    # At q = 1/2 only about log2(n) right vertices are first neighbours, so
+    # csgraph sees a few thousand edges instead of n*m/2.  A stable sort
+    # groups the left rows by first neighbour, and one reduceat ORs each
+    # group's rows, packed into 64-bit words: on bytes, or on one bool per
+    # entry, numpy's reduceat is several times slower.  Each OR is one CSR
+    # row, read byte by byte so that only its nonzero bytes are unpacked.
     b = g.biadjacency
+    n_left, n_right = g.n_left, g.n_right
+    first = b.argmax(axis=1)
+    linked = b[np.arange(n_left), first]
+    rows = np.flatnonzero(linked)
+    rows = rows[np.argsort(first[rows], kind="stable")]
+    heads = first[rows]
+    opens = np.ones(heads.size, dtype=bool)
+    opens[1:] = heads[1:] != heads[:-1]
+    starts = np.flatnonzero(opens)
+    packed = np.packbits(b, axis=1)
+    words = np.zeros((rows.size, -(-n_right // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, : packed.shape[1]] = packed[rows]
+    merged = np.bitwise_or.reduceat(words, starts, axis=0).view(np.uint8)
+    group, byte = np.nonzero(merged)
+    which, bit = np.nonzero(np.unpackbits(merged[group, byte][:, None], axis=1))
+    # Index arrays are int32 whenever the entry count allows (it is at
+    # most the biadjacency's size), as scipy would otherwise downcast them
+    # in a copy.
     index = np.int32 if b.size < 2**31 else np.int64
-    degrees = b.sum(axis=1, dtype=index)
-    indptr = np.zeros(n + 1, dtype=index)
-    np.cumsum(degrees, out=indptr[1 : n_left + 1])
-    indptr[n_left + 1 :] = indptr[n_left]
-    indices = np.flatnonzero(b).astype(index)
-    indices -= np.repeat(np.arange(n_left, dtype=index) * n_right - n_left, degrees)
-    adjacency = csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
-    count, labels = csgraph.connected_components(adjacency, directed=False)
+    indices = (byte[which] * 8 + bit).astype(index)
+    indptr = np.zeros(n_right + 1, dtype=index)
+    indptr[heads[starts] + 1] = np.bincount(group[which], minlength=starts.size)
+    np.cumsum(indptr, out=indptr)
+    contracted = csr_matrix(
+        (np.ones(indices.size), indices, indptr), shape=(n_right, n_right)
+    )
+    count, right = csgraph.connected_components(contracted, directed=False)
+    # An isolated left vertex is a component of its own.
+    alone = np.flatnonzero(~linked)
+    labels = np.concatenate([right[first], right])
+    labels[alone] = count + np.arange(alone.size)
+    labels.flags.writeable = False
+    return count + alone.size, labels
+
+
+def connected_components(g: BipartiteGraph) -> list[set[int]]:
+    """Vertex sets of the connected components, ordered by smallest vertex."""
+    count, labels = component_labels(g)
     # A stable sort groups vertices by label and keeps each group ascending,
     # so the first entry of a group is its smallest vertex.
     by_label = np.argsort(labels, kind="stable")

@@ -30,7 +30,7 @@ import functools
 import json
 import sys
 
-from .bigraph import connected_components, load_graph
+from .bigraph import component_labels, load_graph
 from .errors import GuardExceededError, InvalidParamsError
 from .groups import sandpile_group, spanning_tree_count
 from .harness import (
@@ -144,8 +144,9 @@ def _cmd_predict(args) -> int:
 
 def _cmd_group(args) -> int:
     g = load_graph(args.edges)
+    # The three steps share one component search, kept on ``g``.
     invariants = sandpile_group(g)
-    n_components = len(connected_components(g))
+    n_components, _ = component_labels(g)
     trees = spanning_tree_count(g) if n_components == 1 else None
     if trees is not None and trees != invariants.order:
         raise RuntimeError(

@@ -32,7 +32,7 @@ from math import isqrt, prod
 
 import numpy as np
 
-from .bigraph import BipartiteGraph, connected_components, reduced_laplacian
+from .bigraph import BipartiteGraph, component_labels, connected_components, reduced_laplacian
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
 from .gfp import (
     PrimeFieldMatrix,
@@ -166,7 +166,7 @@ def p_rank(g: BipartiteGraph, p: int) -> int:
     d_1 = b.sum(axis=1) % p
     in_z = d_1 == 0
     b_z = b[in_z]
-    n_comps = len(connected_components(g))
+    n_comps, _ = component_labels(g)
     kernel = _kernel_basis(b_z, p)
     b_s = b[~in_z]
     residues, which = np.unique(d_1[~in_z], return_inverse=True)
@@ -225,7 +225,7 @@ def spanning_tree_count(g: BipartiteGraph) -> int:
     determinant would be 0 and the sandpile group order would not equal a
     tree count).
     """
-    if len(connected_components(g)) != 1:
+    if component_labels(g)[0] != 1:
         raise DisconnectedError("spanning trees are defined for connected graphs only")
     # Rows are the larger part; the smaller part's last column is dropped.
     larger = g.biadjacency if g.n_left >= g.n_right else g.biadjacency.T

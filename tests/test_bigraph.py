@@ -6,12 +6,13 @@ import hashlib
 import json
 import tracemalloc
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 
 import numpy as np
 import pytest
 
-from oracles import components_by_bfs
+from oracles import components_by_bfs, components_by_csr
 from sandpiles import bigraph
 from sandpiles import (
     BipartiteGraph,
@@ -20,6 +21,7 @@ from sandpiles import (
     InvalidShapeError,
     SplitMix64,
     build_M,
+    component_labels,
     connected_components,
     floor_ratio,
     graph_from_json,
@@ -253,20 +255,62 @@ def test_connected_components_cases():
     ]
 
 
+def _built_graphs():
+    """Graphs built directly, with the shapes a contraction could get wrong."""
+    rng = np.random.default_rng(30)
+    # n_left < n_right, as ``group --edges`` allows, sparse to dense.
+    for n_left, n_right in ((1, 9), (3, 40), (17, 60)):
+        for q in (0.05, 0.3, 0.7):
+            yield BipartiteGraph(n_left, n_right, rng.random((n_left, n_right)) < q)
+    # Isolated vertices on both sides, the first and last of each among them.
+    b = rng.random((12, 10)) < 0.3
+    b[[0, 5, 11]] = False
+    b[:, [0, 4, 9]] = False
+    yield BipartiteGraph(12, 10, b)
+    # Every left vertex shares one first neighbour.
+    b = rng.random((20, 15)) < 0.2
+    b[:, :6] = False
+    b[:, 6] = True
+    yield BipartiteGraph(20, 15, b)
+    # Left vertices 0 and 1 have first neighbours 0 and 1, and only their
+    # later neighbour 2 joins them: a first-neighbour skeleton splits them.
+    yield BipartiteGraph(2, 3, np.array([[1, 0, 1], [0, 1, 1]]))
+    # A chain 0 - 1 - ... - 7 through the right part, each left vertex
+    # joining its first neighbour to the next right vertex, listed in
+    # reverse so that later rows close the chain.
+    links = np.zeros((7, 8), dtype=bool)
+    for i in range(7):
+        links[i, [6 - i, 7 - i]] = True
+    yield BipartiteGraph(7, 8, links)
+
+
 def test_connected_components_match_bfs_oracle():
     # Sparse q leaves isolated vertices and many components; q = 0.5 leaves
-    # one.  Both the sets and their order must agree with the BFS.
+    # one.  Both the sets and their order must agree with the BFS, and the
+    # labels with the sets.
+    sampled = (
+        sample_bipartite(GraphModelParams(n=40 + 7 * seed, alpha=alpha, q=q, seed=seed))
+        for alpha in (0.125, 0.75, 1)
+        for q in (0.02, 0.1, 0.5)
+        for seed in range(8)
+    )
     counts = set()
-    for alpha in (0.125, 0.75, 1):
-        for q in (0.02, 0.1, 0.5):
-            for seed in range(8):
-                params = GraphModelParams(n=40 + 7 * seed, alpha=alpha, q=q, seed=seed)
-                g = sample_bipartite(params)
-                comps = connected_components(g)
-                assert comps == components_by_bfs(g)
-                assert all(type(v) is int for comp in comps for v in comp)
-                counts.add(len(comps))
+    for g in chain(sampled, _built_graphs()):
+        comps = connected_components(g)
+        assert comps == components_by_bfs(g)
+        assert all(type(v) is int for comp in comps for v in comp)
+        count, labels = component_labels(g)
+        assert count == len(comps)
+        classes = {frozenset(np.flatnonzero(labels == c).tolist()) for c in range(count)}
+        assert classes == set(map(frozenset, comps))
+        counts.add(len(comps))
     assert 1 in counts and max(counts) > 20
+    # Large seeded graphs, against csgraph on the CSR of every edge: from
+    # thousands of components at q = 0.0005 to one at q = 0.5.
+    for n, alpha in ((1000, 1), (2000, 0.5), (4000, 0.25)):
+        for q in (0.0005, 0.02, 0.5):
+            g = sample_bipartite(GraphModelParams(n=n, alpha=alpha, q=q, seed=n))
+            assert connected_components(g) == components_by_csr(g)
 
 
 def test_json_round_trip():

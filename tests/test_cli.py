@@ -16,8 +16,8 @@ import pytest
 
 import sandpiles
 from sandpiles import (
-    BipartiteGraph, GraphModelParams, graph_to_json, groups, load_graph, sample_bipartite,
-    save_graph, theory, verify,
+    BipartiteGraph, GraphModelParams, bigraph, graph_to_json, groups, load_graph,
+    sample_bipartite, save_graph, theory, verify,
 )
 from sandpiles.cli import build_parser, main
 
@@ -394,11 +394,16 @@ def test_prime_at_or_over_two_to_the_31_is_refused_before_sampling(monkeypatch, 
     assert json.loads(out)["config"]["p"] == int(p)
 
 
-def test_group_on_explicit_graph(tmp_path, capsys):
+def test_group_on_explicit_graph(tmp_path, capsys, monkeypatch):
     path = tmp_path / "k23.json"
     save_graph(BipartiteGraph(2, 3, np.ones((2, 3), dtype=np.int64)), path)
+    # The group, the component count and the tree count share one search.
+    searches = []
+    search = bigraph._search_components
+    monkeypatch.setattr(bigraph, "_search_components", lambda g: searches.append(g) or search(g))
     code, out, _ = run_cli(capsys, "group", "--edges", str(path))
     assert code == 0
+    assert len(searches) == 1
     payload = json.loads(out)
     assert payload["invariant_factors"] == [2, 6]
     assert payload["order"] == "12"
