@@ -5,23 +5,24 @@ to [0, p).  For p < 2**31 a single product of two residues fits in an int64,
 so elimination runs vectorised without ever leaving exact integer arithmetic.
 
 One forward-elimination loop, :func:`_echelon`, serves rank, determinant,
-inverse and Schur complement.  The rank of a matrix is its pivot count, and
-the determinant of a square one is the product of its pivots, negated once
-per row swap.  Solving
+inverse, Schur complement and kernel.  The rank of a matrix is its pivot
+count, and the determinant of a square one is the product of its pivots,
+negated once per row swap.  Solving
 ``a @ x = b`` eliminates ``a`` inside ``[[a, b], [I, 0]]``, whose
 bottom-right block then holds ``-x``, and its pivots and swaps give det(a)
 as well; the inverse is the solve against ``I``, and the Schur complement
 needs one solve and one matrix product.  The Schur
 complement takes the eliminated indices as plain integers, in any order, and
-cuts its four blocks from the residue array with ``np.ix_``.  A diagonal
-block is solved in closed form instead, as a row scaling by the inverted
-diagonal: the D1 block of the paper's reduced Laplacians is diagonal.  Over
+cuts its four blocks from the residue array with ``np.ix_``.  Over
 GF(2) the rank alone has a faster path: rows packed into Python integers and
 eliminated with xor, each pivot keyed by its highest set bit.  Both loops
 also give kernels: eliminating ``a^T`` inside ``[a^T | I]`` leaves rows whose
 ``a^T`` part is zero, and their identity part spans the kernel of ``a``.  At
 p = 2 the layout is ``[I | a^T]``, identity in the low bits, so those rows
-are the pivots whose top bit lies in the identity part.  The test-suite
+are the pivots whose top bit lies in the identity part.  Both Monte Carlo
+kinds take the corank of one block shape, [[diag(d1), E], [E^T, diag(d2)]],
+and :func:`_block_corank` is their one kernel: a row scaling, a kernel
+basis, two products and the rank of a small block.  The test-suite
 checks both rank paths against minor and row-reduction oracles, the kernel
 against ``a @ N^T = 0`` and its dimension, and the Schur complement against
 determinant quotients.
@@ -340,6 +341,35 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (prod % p).astype(np.int64)
 
 
+def _block_corank(e: np.ndarray, d_1: np.ndarray, d_2: np.ndarray, p: int) -> int:
+    """Corank mod p of [[diag(d_1), E], [E^T, diag(d_2)]], for residues d_1, d_2 and E.
+
+    With S the rows of nonzero ``d_1``, Z the other z of them and m the
+    columns of ``e``, eliminating S by a row scaling leaves
+    [[0, E_Z], [E_Z^T, C]] with C = diag(d_2) - E_S^T diag(d_S)^-1 E_S.  If the
+    k rows of N span the kernel of E_Z, that block has rank
+    2 (m - k) + rank(N C N^T), so the corank is
+
+        (z - m) + k + corank(N C N^T).
+
+    The k x k matrix N C N^T comes from X = E_S N^T; C itself is never
+    formed.  Negating E negates E_Z and leaves C alone, so its sign does not
+    matter.
+    """
+    in_z = d_1 == 0
+    e_z = e[in_z]
+    kernel = _kernel_basis(e_z, p)
+    e_s = e[~in_z]
+    residues, which = np.unique(d_1[~in_z], return_inverse=True)
+    d_s_inv = np.array([pow(int(d), -1, p) for d in residues], dtype=np.int64)[which]
+    x = _matmul_mod(e_s, kernel.T, p)
+    # In the kernel's dtype: at p = 2 that is uint8, and no int64 copy is made.
+    c = _matmul_mod(kernel * d_2.astype(kernel.dtype) % p, kernel.T, p)
+    c -= _matmul_mod((x * d_s_inv[:, None] % p).T, x, p)
+    corank = corank_mod_p(PrimeFieldMatrix(p, c % p))
+    return e_z.shape[0] - e.shape[1] + kernel.shape[0] + corank
+
+
 def schur_complement(m: PrimeFieldMatrix, eliminate) -> PrimeFieldMatrix:
     """Schur complement of ``m`` after eliminating the indices ``eliminate``.
 
@@ -349,12 +379,10 @@ def schur_complement(m: PrimeFieldMatrix, eliminate) -> PrimeFieldMatrix:
     matrix over the same field, and reordering S does not change it.  The
     four blocks are cut straight from ``m.entries``, and
     ``inverse(A[S,S]) @ A[S,T]`` comes from one elimination of ``A[S,S]``,
-    with no inverse formed.  A diagonal ``A[S,S]`` needs no elimination: the
-    product is the row scaling ``inverse(diagonal) * A[S,T]``.  When
-    ``A[S,S]`` is invertible, block elimination shows the complement has the
-    same corank as ``m`` -- this is what makes it useful for collapsing a
-    large matrix onto a small interesting block.  An empty ``eliminate``
-    returns ``m`` itself.
+    with no inverse formed.  When ``A[S,S]`` is invertible, block
+    elimination shows the complement has the same corank as ``m`` -- this is
+    what makes it useful for collapsing a large matrix onto a small
+    interesting block.  An empty ``eliminate`` returns ``m`` itself.
 
     Raises :class:`DimensionMismatchError` if ``m`` is not square or an
     index is out of range, :class:`InvalidShapeError` if an index repeats,
@@ -372,16 +400,7 @@ def schur_complement(m: PrimeFieldMatrix, eliminate) -> PrimeFieldMatrix:
     if s.size + t.size != m.rows:
         raise InvalidShapeError(f"eliminated indices must be distinct, got {s.tolist()}")
     a = m.entries
-    a_ss, a_st = a[np.ix_(s, s)], a[np.ix_(s, t)]
+    x, _ = _solve(a[np.ix_(s, s)], a[np.ix_(s, t)], m.p)
     a_ts, a_tt = a[np.ix_(t, s)], a[np.ix_(t, t)]
-    diag = np.diagonal(a_ss)
-    if np.count_nonzero(a_ss) == np.count_nonzero(diag):
-        rank = np.count_nonzero(diag)
-        if rank < s.size:
-            raise _singular(rank, s.size)
-        dinv = np.array([pow(int(d), -1, m.p) for d in diag], dtype=np.int64)
-        x = dinv[:, None] * a_st % m.p
-    else:
-        x, _ = _solve(a_ss, a_st, m.p)
     cross = _matmul_mod(a_ts, x, m.p)
     return PrimeFieldMatrix(m.p, (a_tt - cross) % m.p)

@@ -17,12 +17,8 @@ The Smith form of the full Laplacian is the invariant factors plus one zero
 per component, and mod p each factor divisible by p and each zero gives one
 dimension of kernel: the p-rank is the corank of the Laplacian mod p minus
 the component count.  ``p_rank`` takes that corank without the N x N
-matrix.  Eliminating the left vertices of degree not divisible by p leaves
-[[0, B_Z], [B_Z^T, C]], where B_Z holds the z left rows of degree 0 mod p,
-so with k the nullity of B_Z and N a basis of its kernel the p-rank is
-(z - m) + k + corank(N C N^T) - components.  z - m is the paper's
-truncated-binomial variable and the rest its O(1) correction.  The test
-oracle takes the whole corank.
+matrix, from its block shape, with the kernel ``gfp._block_corank`` that
+derives it.  The test oracle takes the whole corank.
 """
 
 from __future__ import annotations
@@ -34,14 +30,7 @@ import numpy as np
 
 from .bigraph import BipartiteGraph, component_labels, connected_components, reduced_laplacian
 from .errors import DisconnectedError, GuardExceededError, NotPrimeError
-from .gfp import (
-    PrimeFieldMatrix,
-    _check_prime,
-    _kernel_basis,
-    _matmul_mod,
-    corank_mod_p,
-    is_prime,
-)
+from .gfp import _block_corank, _check_prime, is_prime
 from .intmat import (
     _covering_primes,
     _crt_signed,
@@ -145,39 +134,24 @@ def p_rank(g: BipartiteGraph, p: int) -> int:
     """Number of invariant factors of the sandpile group divisible by ``p``.
 
     Equal to ``sandpile_group(g).p_multiplicity(p)`` but cheap enough for
-    Monte Carlo: no integer Smith form, and no N x N array.  With S the left
-    vertices of degree not divisible by ``p``, Z the other z of them and
-    m = ``n_right``, eliminating S from the Laplacian mod p,
-    [[D1, -B], [-B^T, D2]], leaves [[0, -B_Z], [-B_Z^T, C]] with
-    C = D2 - B_S^T D_S^-1 B_S.  If the k rows of N span the kernel of B_Z,
-    that block has rank 2 (m - k) + rank(N C N^T), so
+    Monte Carlo: no integer Smith form, and no N x N array.  The Laplacian
+    mod p is [[D1, -B], [-B^T, D2]] with the degrees on its diagonal, and
+    :func:`gfp._block_corank` takes its corank from that shape, so
 
-        p_rank = (z - m) + k + corank(N C N^T) - components.
+        p_rank = (z - m) + k + corank(N C N^T) - components,
 
-    z ~ B(n, pi_m) exactly, so z - m is the paper's binomial variable, and
-    k >= 1 because the all-ones vector lies in the kernel of B_Z.  The k x k
-    matrix N C N^T comes from X = B_S N^T; C itself is never formed.
+    with z the left vertices of degree divisible by ``p``, m = ``n_right``
+    and k the nullity of their rows B_Z.  z ~ B(n, pi_m) exactly, so z - m
+    is the paper's binomial variable and the rest its O(1) correction;
+    k >= 1 because the all-ones vector lies in the kernel of B_Z.
     """
     if not is_prime(p):
         raise NotPrimeError(f"p must be prime, got {p}")
     # Refuses p >= 2**31 and a non-int p before any elimination.
     _check_prime(p)
     b = g.biadjacency
-    d_1 = b.sum(axis=1) % p
-    in_z = d_1 == 0
-    b_z = b[in_z]
     n_comps, _ = component_labels(g)
-    kernel = _kernel_basis(b_z, p)
-    b_s = b[~in_z]
-    residues, which = np.unique(d_1[~in_z], return_inverse=True)
-    d_s_inv = np.array([pow(int(d), -1, p) for d in residues], dtype=np.int64)[which]
-    x = _matmul_mod(b_s, kernel.T, p)
-    d_2 = b.sum(axis=0) % p
-    # In the kernel's dtype: at p = 2 that is uint8, and no int64 copy is made.
-    c = _matmul_mod(kernel * d_2.astype(kernel.dtype) % p, kernel.T, p)
-    c -= _matmul_mod((x * d_s_inv[:, None] % p).T, x, p)
-    corank = corank_mod_p(PrimeFieldMatrix(p, c % p))
-    return b_z.shape[0] - g.n_right + kernel.shape[0] + corank - n_comps
+    return _block_corank(b, b.sum(axis=1) % p, b.sum(axis=0) % p, p) - n_comps
 
 
 def _schur_block_mod_primes(kept: np.ndarray, degrees: np.ndarray, moduli: np.ndarray) -> np.ndarray:

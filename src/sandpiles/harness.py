@@ -226,8 +226,8 @@ def run_mcorank_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Record coranks of the uniformized matrices, with pipeline cross-checks.
 
     Observations are the directly computed coranks; ``extras`` reports
-    whether the Schur-complement corank agreed on every trial and how the
-    zero-diagonal regimes split.  The comparison block is filled against the
+    whether the block-kernel corank (``corank_schur``, the one ``p_rank``
+    takes) agreed on every trial and how the zero-diagonal regimes split.  The comparison block is filled against the
     same truncated-binomial law as the p-rank experiment.
     """
     _check_kind(cfg, "m-corank")

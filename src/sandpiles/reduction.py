@@ -17,9 +17,9 @@ here make that reduction concrete:
   truncated-binomial rank law; comparing it with delta1 measures how much the
   idealization matters.
 
-* ``corank_pipeline``: the corank computed two ways -- directly, and by first
-  eliminating the invertible diagonal part of the D1 block with a Schur
-  complement, which must preserve the corank exactly.
+* ``corank_pipeline``: the corank computed two ways -- directly, and by the
+  block kernel ``gfp._block_corank``, which eliminates the invertible part
+  of the D1 block by a row scaling; the two must agree exactly.
 
 All randomness in ``build_M`` comes from one splitmix64 stream: first the
 edge draws (identical to plain graph sampling), then the diagonal draws.  Two
@@ -41,7 +41,7 @@ from .bigraph import (
     sample_bipartite_from_stream,
 )
 from .errors import InvalidParamsError, TooSmallError
-from .gfp import PrimeFieldMatrix, corank_mod_p, schur_complement
+from .gfp import PrimeFieldMatrix, _block_corank, corank_mod_p
 from .rng import SplitMix64
 
 REGIME_ABOVE_CUT = "zero-diagonal count at or above the cut"
@@ -53,9 +53,10 @@ class ReducedModelMatrix:
     """A trimmed mod-p Laplacian (or its uniformized variant) and its cut.
 
     ``split`` separates the left-vertex rows (the D1 block) from the
-    right-vertex rows; ``cut`` is the truncation cut floor(alpha*n) of the
-    model the matrix stands for, which :func:`corank_pipeline` compares with
-    the number of zero diagonal entries in the D1 block.
+    right-vertex rows (the D2 block), and both blocks must be diagonal;
+    ``cut`` is the truncation cut floor(alpha*n) of the model the matrix
+    stands for, which :func:`corank_pipeline` compares with the number of
+    zero diagonal entries in the D1 block.
     """
 
     matrix: PrimeFieldMatrix
@@ -74,6 +75,10 @@ class ReducedModelMatrix:
             raise InvalidParamsError(
                 f"split {self.split} out of range for size {m.rows}"
             )
+        s = self.split
+        for block in (m.entries[:s, :s], m.entries[s:, s:]):
+            if np.count_nonzero(block) != np.count_nonzero(np.diagonal(block)):
+                raise InvalidParamsError("the D1 and D2 blocks must be diagonal")
 
     @property
     def dim(self) -> int:
@@ -153,20 +158,20 @@ class PipelineReport:
 
 
 def corank_pipeline(m: ReducedModelMatrix) -> PipelineReport:
-    """Compute the corank of ``m.matrix`` directly and via a Schur step.
+    """Compute the corank of ``m.matrix`` directly and via the block kernel.
 
-    The Schur step eliminates the invertible diagonal part of the D1 block
-    (indices below ``m.split`` with nonzero diagonal); since that block is
-    diagonal with nonzero entries it is always invertible, and the
-    complement's corank must equal the direct corank -- the returned report
+    The block kernel eliminates the invertible diagonal part of the D1 block
+    (indices below ``m.split`` with nonzero diagonal) by a row scaling, as
+    ``p_rank`` does for a Laplacian; that part is always invertible, and the
+    corank it gives must equal the direct corank -- the returned report
     carries both so callers can assert it.
     """
     diag = m.diagonal()
     d1 = diag[: m.split]
     r = int(np.count_nonzero(d1 == 0))
     corank_direct = corank_mod_p(m.matrix)
-    complement = schur_complement(m.matrix, np.flatnonzero(d1))
-    corank_schur = corank_mod_p(complement)
+    entries, split = m.matrix.entries, m.split
+    corank_schur = _block_corank(entries[:split, split:], d1, diag[split:], m.matrix.p)
     regime = REGIME_ABOVE_CUT if r >= m.cut else REGIME_BELOW_CUT
     return PipelineReport(
         corank_direct=corank_direct,
@@ -174,4 +179,3 @@ def corank_pipeline(m: ReducedModelMatrix) -> PipelineReport:
         r=r,
         regime=regime,
     )
-

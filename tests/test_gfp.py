@@ -503,7 +503,7 @@ def _check_schur_by_determinant_quotients(m: PrimeFieldMatrix, s: list[int]) -> 
 
 def test_schur_complement_matches_determinant_quotients():
     # Each draw is checked as it is and with the off-diagonal entries of
-    # A[S,S] zeroed, which takes the closed-form diagonal solve; every other
+    # A[S,S] zeroed, a diagonal block like the paper's D1; every other
     # diagonal variant also gets a zero on its diagonal.
     stream = SplitMix64(1729)
     done = 0
@@ -528,8 +528,8 @@ def test_schur_complement_matches_determinant_quotients():
 
 
 def test_schur_complement_on_build_M_matches_the_eliminating_solve():
-    # corank_pipeline's block: the nonzero diagonal of the D1 block, which
-    # the closed form solves; _solve eliminates the same block.
+    # The block the corank kernel eliminates by a row scaling: the nonzero
+    # diagonal of the D1 block.  _solve eliminates the same block.
     for p in (3, 5, 7):
         for seed in range(4):
             m = build_M(80, 0.25, 0.5, p, 310 + seed)

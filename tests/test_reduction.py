@@ -69,6 +69,13 @@ def test_reduced_model_matrix_validation():
     wide = PrimeFieldMatrix(3, [[1, 2, 0]])
     with pytest.raises(InvalidParamsError):
         ReducedModelMatrix(matrix=wide, split=1, cut=1)
+    # Symmetric, but with an off-diagonal entry inside the D1 or D2 block.
+    off_d1 = PrimeFieldMatrix(3, [[1, 1, 0], [1, 1, 2], [0, 2, 0]])
+    with pytest.raises(InvalidParamsError, match="must be diagonal"):
+        ReducedModelMatrix(matrix=off_d1, split=2, cut=1)
+    off_d2 = PrimeFieldMatrix(3, [[1, 2, 0], [2, 0, 1], [0, 1, 0]])
+    with pytest.raises(InvalidParamsError, match="must be diagonal"):
+        ReducedModelMatrix(matrix=off_d2, split=1, cut=1)
 
 
 def test_build_delta1_shape_and_split():
@@ -193,18 +200,27 @@ def test_build_M_diagonal_is_uniform():
 
 
 def test_corank_pipeline_agreement_sweep():
+    # The three sizes put both regimes, and both z > m and z < m (zero D1
+    # entries against D2's size), into the sweep.
     mismatches = 0
     checked = 0
+    regimes = set()
+    z_above_m = set()
     for p in (2, 3, 5):
-        for seed in range(40):
-            m = build_M(4 * p + 2, 0.75, 0.5, p, seed=1_000_000 + seed)
-            report = corank_pipeline(m)
-            checked += 1
-            if report.corank_direct != report.corank_schur:
-                mismatches += 1
-            assert report.corank_direct == corank_mod_p(m.matrix)
-    assert checked == 120
+        for n, alpha in ((4 * p + 2, 0.75), (60, 0.25), (40, 1.0)):
+            for seed in range(40):
+                m = build_M(n, alpha, 0.5, p, seed=1_000_000 + seed)
+                report = corank_pipeline(m)
+                checked += 1
+                if report.corank_direct != report.corank_schur:
+                    mismatches += 1
+                assert report.corank_direct == corank_mod_p(m.matrix)
+                regimes.add(report.regime)
+                z_above_m.add(report.r > m.dim - m.split)
+    assert checked == 360
     assert mismatches == 0
+    assert regimes == {REGIME_ABOVE_CUT, REGIME_BELOW_CUT}
+    assert z_above_m == {True, False}
 
 
 def test_corank_pipeline_r_and_regime():
@@ -253,6 +269,25 @@ def test_corank_pipeline_all_zero_d1_case():
     assert report.r == 2
     assert report.regime == REGIME_ABOVE_CUT  # r = 2 >= cut = 2
     assert report.corank_direct == report.corank_schur
+
+
+@pytest.mark.parametrize(
+    "p,diag,split,cut,r,corank",
+    [
+        (2, [1, 0, 1, 0], 0, 0, 0, 2),
+        (3, [2, 0, 1], 0, 1, 0, 1),
+        (2, [0, 1, 0], 3, 2, 2, 2),
+        (3, [1, 2, 0, 1], 4, 2, 1, 1),
+    ],
+)
+def test_corank_pipeline_split_at_either_end(p, diag, split, cut, r, corank):
+    # split = 0 or split = dim leaves no off-diagonal block: the matrix is
+    # diagonal, and its corank is its count of zero entries.
+    m = ReducedModelMatrix(matrix=PrimeFieldMatrix(p, np.diag(diag)), split=split, cut=cut)
+    report = corank_pipeline(m)
+    assert report.r == r
+    assert report.regime == (REGIME_ABOVE_CUT if r >= cut else REGIME_BELOW_CUT)
+    assert report.corank_direct == report.corank_schur == corank
 
 
 @pytest.mark.parametrize(
